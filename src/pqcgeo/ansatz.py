@@ -36,8 +36,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simulator import require_normalized
-
 HEA = "hea"
 LDCA = "ldca"
 QGAN = "qgan"
@@ -324,7 +322,8 @@ def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:
             s = np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4])
             r = 12.0 + _ricci_from_pole(2.0, s * s - 1.0)
         else:
-            n = _shea_pole_argument(t)
+            # C <= 1 bounds n by 4; round-off just above 4 would turn -inf into +huge
+            n = np.minimum(_shea_pole_argument(t), 4.0)
             r = _ricci_from_pole(12.0 * n - 40.0, n - 4.0)
     return float(r) if np.ndim(r) == 0 else r
 
@@ -332,9 +331,3 @@ def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:
 def random_parameters(kind: str, rng: np.random.Generator) -> np.ndarray:
     """Uniform draw from the canonical initialization domain [0, 2 pi)^m."""
     return rng.uniform(0.0, 2.0 * np.pi, size=param_count(kind))
-
-
-def brute_concurrence(state: np.ndarray) -> float:
-    """2 |a00 a11 - a01 a10| straight from amplitudes (oracle for the closed forms)."""
-    state = require_normalized(state)
-    return float(min(1.0, 2.0 * abs(state[0] * state[3] - state[1] * state[2])))

@@ -84,13 +84,16 @@ def _cmd_scan(args) -> int:
     kind = args.ansatz
     m = ansatz.param_count(kind)
     fixed = np.zeros(m)
+    a, b = (i - 1 for i in args.scan)
     for item in args.fix:
         try:
             idx, val = item.split("=")
-            fixed[int(idx) - 1] = float(val)
-        except (ValueError, IndexError) as exc:
+            idx, val = int(idx), float(val)
+        except ValueError as exc:
             raise ValueError(f"bad --fix argument {item!r}; expected INDEX=VALUE") from exc
-    a, b = (i - 1 for i in args.scan)
+        if not 1 <= idx <= m or idx - 1 in (a, b):
+            raise ValueError(f"bad --fix index {idx}: expected an unscanned index in 1..{m}")
+        fixed[idx - 1] = val
     _, mask, meta = harness.scan_landscape(kind, (a, b), fixed_theta=fixed,
                                            resolution=args.grid, clip=tuple(args.clip),
                                            out_prefix=args.out)

@@ -3,8 +3,7 @@
 Everything here writes plain CSV/JSON; plotting is left to external
 consumers. Per-trial VQE traces use the fixed column set
 
-    step, energy, energy_error, concurrence, ricci_raw_C, ricci, grad_norm,
-    theta_1 .. theta_m
+    step, energy, energy_error, concurrence, ricci, grad_norm, theta_1 .. theta_m
 
 and the run summary JSON carries per-step mean/std across trials (shorter
 traces are padded by carrying their final record forward) plus the per-trial
@@ -47,12 +46,12 @@ def _fmt(x: float) -> str:
 
 def write_trace_csv(path: Path, trace: list[optimize.TraceRecord]) -> None:
     m = len(trace[0].theta)
-    header = ["step", "energy", "energy_error", "concurrence", "ricci_raw_C",
-              "ricci", "grad_norm"] + [f"theta_{j + 1}" for j in range(m)]
+    header = ["step", "energy", "energy_error", "concurrence", "ricci",
+              "grad_norm"] + [f"theta_{j + 1}" for j in range(m)]
     lines = [",".join(header)]
     for rec in trace:
         row = [str(rec.step), _fmt(rec.energy), _fmt(rec.energy_error),
-               _fmt(rec.concurrence), _fmt(rec.ricci_raw_c), _fmt(rec.ricci),
+               _fmt(rec.concurrence), _fmt(rec.ricci),
                _fmt(rec.grad_norm)] + [_fmt(v) for v in rec.theta]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -202,8 +201,9 @@ def _suite_concurrence(rng: np.random.Generator) -> tuple[bool, str]:
     for kind in ansatz.ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(10_000, ansatz.param_count(kind)))
         closed = ansatz.concurrence_closed(kind, thetas)
-        brute = np.array([ansatz.brute_concurrence(ansatz.prepare_state(kind, t))
-                          for t in thetas])
+        states = np.fromiter((ansatz.prepare_state(kind, t) for t in thetas),
+                             dtype=(complex, 4), count=len(thetas))
+        brute = geometry.concurrence(states)
         worst = max(worst, float(np.abs(closed - brute).max()))
     return worst <= 1e-9, f"max |closed - brute| = {worst:.3e} (tol 1e-9)"
 

@@ -8,13 +8,13 @@ maximally entangled passes yield large negative finite values).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ansatz, qgt
 from .geometry import concurrence, ricci_closed
-from .vqe import GroundTruth, Hamiltonian, exact_ground
+from .vqe import GroundTruth, Hamiltonian, energy, exact_ground, gradient_from_state
 
 GD = "gd"
 QNG = "qng"
@@ -51,7 +51,6 @@ class TraceRecord:
     energy: float
     energy_error: float
     concurrence: float
-    ricci_raw_c: float
     ricci: float
     grad_norm: float
     qng_fallback: bool = False
@@ -76,10 +75,10 @@ def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
     return np.asarray(theta, float) - config.learning_rate * (ginv @ np.asarray(grad, float))
 
 
-def instrument(kind: str, theta: np.ndarray, step: int, hamiltonian: Hamiltonian,
+def instrument(psi: np.ndarray, theta: np.ndarray, step: int, hamiltonian: Hamiltonian,
                ground: GroundTruth, grad: np.ndarray, fallback: bool) -> TraceRecord:
-    psi = ansatz.prepare_state(kind, theta)
-    e = float(np.real(np.vdot(psi, hamiltonian.matrix() @ psi)))
+    """The trace record of one step, from the state psi prepared at theta."""
+    e = energy(hamiltonian, psi)
     if not np.isfinite(e):
         raise RuntimeError(f"non-finite energy {e!r} at step {step}")
     c = concurrence(psi)
@@ -89,7 +88,6 @@ def instrument(kind: str, theta: np.ndarray, step: int, hamiltonian: Hamiltonian
         energy=e,
         energy_error=e - ground.energy,
         concurrence=c,
-        ricci_raw_c=c,
         ricci=float(ricci_closed(min(c, RICCI_CLAMP))),
         grad_norm=float(np.linalg.norm(grad)),
         qng_fallback=fallback,
@@ -101,7 +99,8 @@ def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0, config: OptCon
     """Iterate until |E_t - E_{t-1}| < tol or max_steps; returns the full trace.
 
     The trace always includes the initial point (step 0). Deterministic for a
-    given (theta0, config).
+    given (theta0, config). Each step evaluates the ansatz once; energy,
+    gradient, concurrence and the QNG metric all derive from that (psi, J).
     """
     kind = ansatz.resolve_kind(kind)
     theta = np.array(theta0, dtype=float)
@@ -109,15 +108,14 @@ def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0, config: OptCon
         raise ValueError(f"theta0 has shape {theta.shape}, expected ({ansatz.param_count(kind)},)")
     if ground is None:
         ground = exact_ground(hamiltonian)
+    mask = qgt.block_mask(kind, config.metric_mode)
     records: list[TraceRecord] = []
     e_prev = None
     fallback = False
     for step in range(config.max_steps + 1):
-        grad = 2.0 * np.real(
-            ansatz.state_jacobian(kind, theta).conj().T
-            @ (hamiltonian.matrix() @ ansatz.prepare_state(kind, theta))
-        )
-        rec = instrument(kind, theta, step, hamiltonian, ground, grad, fallback)
+        psi, jac = ansatz.state_and_jacobian(kind, theta)
+        grad = gradient_from_state(hamiltonian, psi, jac)
+        rec = instrument(psi, theta, step, hamiltonian, ground, grad, fallback)
         records.append(rec)
         if e_prev is not None and abs(rec.energy - e_prev) < config.tol:
             break
@@ -128,7 +126,7 @@ def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0, config: OptCon
         if config.optimizer == GD:
             theta = step_gd(theta, grad, config)
         else:
-            metric = qgt.fs_metric(kind, theta, config.metric_mode)
+            metric = qgt.fs_metric_from_state(psi, jac, mask)
             try:
                 theta = step_qng(theta, grad, metric, config)
             except qgt.DegenerateMetricError:
@@ -164,7 +162,3 @@ def steps_to_threshold(trace: list[TraceRecord], threshold: float = 1e-3) -> int
         if rec.energy_error <= threshold:
             return rec.step
     return None
-
-
-def with_seed(config: OptConfig, seed: int) -> OptConfig:
-    return replace(config, seed=seed)

@@ -87,23 +87,20 @@ def block_mask(kind: str, mode: str = BLOCK) -> np.ndarray:
         mask[np.diag_indices(m)] = True
         return mask
     for block in ansatz.BLOCK_PARTITIONS[ansatz.resolve_kind(kind)]:
-        for i in block:
-            for j in block:
-                mask[i, j] = True
+        mask[np.ix_(block, block)] = True
     return mask
 
 
-def fs_metric(kind: str, theta, mode: str = DENSE) -> np.ndarray:
-    """Fubini-Study metric Re(QGT), exactly symmetrized, with the mode mask applied.
+def fs_metric_from_state(psi: np.ndarray, jac: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Fubini-Study metric Re(QGT) from a state and its Jacobian, exactly
+    symmetrized; entries where the block_mask result is False are exactly zero."""
+    g = qgt_from_state(psi, jac).real
+    return np.where(mask, 0.5 * (g + g.T), 0.0)
 
-    Entries outside the dense/block/diagonal mask are exactly zero.
-    """
-    g = qgt_full(kind, theta).real
-    g = 0.5 * (g + g.T)
-    mode = canonical_mode(mode)
-    if mode == DENSE:
-        return g
-    return np.where(block_mask(kind, mode), g, 0.0)
+
+def fs_metric(kind: str, theta, mode: str = DENSE) -> np.ndarray:
+    """Fubini-Study metric of the ansatz at theta under the dense/block/diag mode."""
+    return fs_metric_from_state(*ansatz.state_and_jacobian(kind, theta), block_mask(kind, mode))
 
 
 def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> np.ndarray:

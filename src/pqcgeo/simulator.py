@@ -37,10 +37,6 @@ def basis_state(label: str) -> np.ndarray:
     return v
 
 
-def norm(state: np.ndarray) -> float:
-    return float(np.linalg.norm(state))
-
-
 def require_normalized(state: np.ndarray, atol: float = NORM_ATOL) -> np.ndarray:
     state = np.asarray(state, dtype=complex)
     if state.shape != (4,):

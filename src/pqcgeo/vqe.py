@@ -14,7 +14,8 @@ Two instances ship as package data:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -30,27 +31,36 @@ HAMILTONIAN_TERMS = ("I", "Z1", "Z2", "Z1Z2", "X1X2", "Y1Y2")
 class Hamiltonian:
     nu: tuple[float, float, float, float, float, float]
     label: str = ""
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nu) != 6:
             raise ValueError(f"expected 6 coefficients, got {len(self.nu)}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.nu):
+            raise ValueError("Hamiltonian coefficients must be real numbers")
         if not all(np.isfinite(v) for v in self.nu):
             raise ValueError("Hamiltonian coefficients must be finite")
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
+        matrix = self.observable().matrix()
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_matrix", matrix)
 
     def observable(self) -> PauliObservable:
         return PauliObservable(tuple(zip(self.nu, HAMILTONIAN_TERMS)))
 
     def matrix(self) -> np.ndarray:
-        return self.observable().matrix()
+        """The 4 x 4 matrix, built once at construction; read-only."""
+        return self._matrix
 
     def to_dict(self) -> dict:
         return {"nu": list(self.nu), "label": self.label}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Hamiltonian":
-        if not isinstance(data.get("nu"), list) or len(data["nu"]) != 6:
-            raise ValueError('Hamiltonian JSON needs a "nu" array of exactly 6 numbers')
+        if not isinstance(data, dict) or not isinstance(data.get("nu"), list) \
+                or len(data["nu"]) != 6:
+            raise ValueError('Hamiltonian JSON needs an object with a "nu" array of '
+                             'exactly 6 numbers')
         return cls(nu=tuple(data["nu"]), label=str(data.get("label", "")))
 
     @classmethod
@@ -81,10 +91,14 @@ def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> float:
     return expectation(state, hamiltonian.matrix())
 
 
-def energy_gradient(kind: str, theta, hamiltonian: Hamiltonian) -> np.ndarray:
-    """Analytic gradient dE/d theta_j = 2 Re <d_j psi|H|psi>."""
-    psi, jac = ansatz.state_and_jacobian(kind, theta)
+def gradient_from_state(hamiltonian: Hamiltonian, psi: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """dE/d theta_j = 2 Re <d_j psi|H|psi> from a state and its Jacobian columns."""
     return 2.0 * np.real(jac.conj().T @ (hamiltonian.matrix() @ psi))
+
+
+def energy_gradient(kind: str, theta, hamiltonian: Hamiltonian) -> np.ndarray:
+    """Analytic gradient of the energy at theta."""
+    return gradient_from_state(hamiltonian, *ansatz.state_and_jacobian(kind, theta))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,7 @@ def test_criterion_1_concurrence_equivalence():
     for kind in ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(10_000, ansatz.param_count(kind)))
         closed = np.asarray(ansatz.concurrence_closed(kind, thetas))
-        brute = np.array([ansatz.brute_concurrence(ansatz.prepare_state(kind, t))
-                          for t in thetas])
+        brute = geometry.concurrence(np.array([ansatz.prepare_state(kind, t) for t in thetas]))
         worst = max(worst, float(np.abs(closed - brute).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 10.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pqcgeo import ansatz, simulator as sim
+from pqcgeo import ansatz, geometry, simulator as sim
 from pqcgeo.ansatz import ANSATZE, HEA, LDCA, QGAN, QGAN_AUG, SHEA
 
 RNG_SEED = 20260808
@@ -135,7 +135,7 @@ def test_concurrence_closed_matches_brute_force():
     for kind in ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(2000, ansatz.param_count(kind)))
         closed = ansatz.concurrence_closed(kind, thetas)
-        brute = np.array([ansatz.brute_concurrence(ansatz.prepare_state(kind, t)) for t in thetas])
+        brute = geometry.concurrence(np.array([ansatz.prepare_state(kind, t) for t in thetas]))
         assert np.abs(closed - brute).max() < 1e-9
 
 
@@ -144,8 +144,8 @@ def test_qgan_aug_concurrence_ignores_local_rotations():
     for _ in range(1000):
         base = rng.uniform(0, 2 * np.pi, 5)
         aug = np.concatenate([base, rng.uniform(0, 2 * np.pi, 4)])
-        c_base = ansatz.brute_concurrence(ansatz.prepare_state(QGAN, base))
-        c_aug = ansatz.brute_concurrence(ansatz.prepare_state(QGAN_AUG, aug))
+        c_base = geometry.concurrence(ansatz.prepare_state(QGAN, base))
+        c_aug = geometry.concurrence(ansatz.prepare_state(QGAN_AUG, aug))
         assert abs(c_base - c_aug) < 1e-9
         assert abs(ansatz.concurrence_closed(QGAN_AUG, aug) - c_base) < 1e-9
 
@@ -161,6 +161,19 @@ def test_ricci_circuit_examples():
 def test_ricci_circuit_singularity_signal():
     with pytest.raises(ansatz.SingularityError):
         ansatz.ricci_closed_circuit(HEA, [np.pi / 4, 0, 0, 0])
+
+
+def test_ricci_circuit_shea_pole_curve_stays_negative():
+    # theta_1 = theta_2 = pi/2 puts C = 1 where theta_3 - theta_4/4 = pi; on an 801^2
+    # grid over (theta_3, theta_4) that is the 201 cells (400 + k, 4 k)
+    axis = np.linspace(0.0, 2.0 * np.pi, 801)
+    grid = np.zeros((801, 801, 6))
+    grid[:, :, :2] = np.pi / 2
+    grid[:, :, 2] = axis[:, None]
+    grid[:, :, 3] = axis[None, :]
+    k = np.arange(201)
+    pole = ansatz.ricci_circuit_grid(SHEA, grid)[400 + k, 4 * k]
+    assert np.all(pole < -5.0)
 
 
 def test_ricci_circuit_matches_universal_form():

@@ -28,7 +28,7 @@ def test_single_trial_single_step_csv_shape(tmp_path):
     lines = (tmp_path / "trial_000.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + initial point + one step
     header = lines[0].split(",")
-    assert header == ["step", "energy", "energy_error", "concurrence", "ricci_raw_C",
+    assert header == ["step", "energy", "energy_error", "concurrence",
                       "ricci", "grad_norm", "theta_1", "theta_2", "theta_3", "theta_4",
                       "theta_5"]
 
@@ -191,9 +191,17 @@ def test_cli_hopf_and_exit_codes(tmp_path, capsys):
     assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", str(tmp_path / "missing.json"),
                  "--trials", "1", "--steps", "1"]) == 2
     bad = tmp_path / "bad.json"
-    bad.write_text('{"nu": [1, 2, 3]}')
-    assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", str(bad),
-                 "--trials", "1", "--steps", "1"]) == 2
+    for text in ('{"nu": [1, 2, 3]}', '{"nu": [null, 0, 0, 0, 0, 0]}',
+                 '{"nu": ["1", 0, 0, 0, 0, 0]}', '{"nu": [true, 0, 0, 0, 0, 0]}',
+                 '[1, 0, 0, 0, 0, 0]'):
+        bad.write_text(text)
+        assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", str(bad),
+                     "--trials", "1", "--steps", "1"]) == 2
+    # --fix must name an unscanned index in 1..m
+    for fix in ("0=1.5", "7=1.5", "2=1.5"):
+        assert main(["scan-landscape", "--ansatz", "shea", "--scan", "1", "2", "--fix", fix,
+                     "--grid", "3", "--out", str(tmp_path / "fix")]) == 2
+    assert not (tmp_path / "fix.csv").exists()
 
 
 def test_cli_run_vqe_and_scan(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pqcgeo import optimize, qgt, vqe
+from pqcgeo import ansatz, geometry, optimize, qgt, simulator, vqe
 from pqcgeo.optimize import OptConfig, run_optimization, step_gd, step_qng
 
 RNG_SEED = 20260808
@@ -106,8 +106,6 @@ def test_trace_ricci_at_zero_concurrence():
 
 
 def test_trace_instrumentation_consistency():
-    from pqcgeo import ansatz, geometry
-
     h = vqe.load_bundled("entangled")
     cfg = _cfg(optimizer="qng", metric_mode="diag", max_steps=60, seed=5)
     theta0 = optimize.initial_parameters("shea", cfg, 1)
@@ -131,7 +129,7 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
     h = vqe.load_bundled("entangled")
     theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     gd_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=30))
-    monkeypatch.setattr(qgt, "fs_metric", lambda kind, theta, mode: np.eye(len(theta)))
+    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.eye(jac.shape[1]))
     qng_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=30))
     assert len(gd_trace) == len(qng_trace)
     for a, b in zip(gd_trace, qng_trace):
@@ -141,7 +139,7 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
 def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
     h = vqe.load_bundled("entangled")
     theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    monkeypatch.setattr(qgt, "fs_metric", lambda kind, theta, mode: np.zeros((5, 5)))
+    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.zeros((5, 5)))
     trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=5))
     assert any(rec.qng_fallback for rec in trace[1:])
     gd_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=5))
@@ -166,3 +164,76 @@ def test_dimension_mismatch_rejected():
         step_qng(np.zeros(3), np.zeros(3), np.eye(2), cfg)
     with pytest.raises(ValueError):
         run_optimization("hea", vqe.load_bundled("entangled"), np.zeros(5), cfg)
+
+
+def _reference_trace(kind, h, theta0, cfg):
+    """The loop as it was before one evaluation per step: the gradient from
+    state_jacobian and prepare_state, the energy and concurrence from a second
+    prepare_state, and the QNG metric from fs_metric's own evaluation."""
+    ground = vqe.exact_ground(h)
+    theta = np.array(theta0, dtype=float)
+    rows, e_prev, fallback = [], None, False
+    for step in range(cfg.max_steps + 1):
+        grad = 2.0 * np.real(ansatz.state_jacobian(kind, theta).conj().T
+                             @ (h.matrix() @ ansatz.prepare_state(kind, theta)))
+        assert np.array_equal(vqe.energy_gradient(kind, theta, h), grad)
+        psi = ansatz.prepare_state(kind, theta)
+        e = float(np.real(np.vdot(psi, h.matrix() @ psi)))
+        c = geometry.concurrence(psi)
+        rows.append((step, theta.copy(), e, e - ground.energy, c,
+                     float(geometry.ricci_closed(min(c, optimize.RICCI_CLAMP))),
+                     float(np.linalg.norm(grad)), fallback))
+        if e_prev is not None and abs(e - e_prev) < cfg.tol or step == cfg.max_steps:
+            break
+        e_prev, fallback = e, False
+        if cfg.optimizer == "gd":
+            theta = step_gd(theta, grad, cfg)
+            continue
+        try:
+            theta = step_qng(theta, grad, qgt.fs_metric(kind, theta, cfg.metric_mode), cfg)
+        except qgt.DegenerateMetricError:
+            theta, fallback = step_gd(theta, grad, cfg), True
+    return rows
+
+
+@pytest.mark.parametrize("kind", ansatz.ANSATZE)
+def test_single_evaluation_loop_matches_reference_bit_for_bit(kind):
+    h = vqe.load_bundled("entangled")
+    base = dict(max_steps=30, tol=1e-9, seed=4)
+    configs = [_cfg(optimizer="gd", **base)] + [
+        _cfg(optimizer="qng", metric_mode=mode, **base) for mode in qgt.METRIC_MODES
+    ] + [_cfg(optimizer="qng", inversion=qgt.Tikhonov(), **base)]
+    for cfg in configs:
+        for trial in range(2):
+            theta0 = optimize.initial_parameters(kind, cfg, trial)
+            got = [(r.step, r.theta, r.energy, r.energy_error, r.concurrence, r.ricci,
+                    r.grad_norm, r.qng_fallback) for r in run_optimization(kind, h, theta0, cfg)]
+            want = _reference_trace(kind, h, theta0, cfg)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a[1], b[1]) and a[:1] + a[2:] == b[:1] + b[2:]
+
+
+def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
+    h = vqe.load_bundled("entangled")
+    calls = {"state_and_jacobian": 0, "other_maps": 0, "matrix": 0}
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(ansatz, "state_and_jacobian", "state_and_jacobian")
+    count(ansatz, "prepare_state", "other_maps")
+    count(ansatz, "state_jacobian", "other_maps")
+    count(simulator.PauliObservable, "matrix", "matrix")
+    for optimizer in ("gd", "qng"):
+        calls.update(state_and_jacobian=0)
+        cfg = _cfg(optimizer=optimizer, max_steps=20, tol=1e-12)
+        trace = run_optimization("qgan-aug", h, optimize.initial_parameters("qgan-aug", cfg, 0),
+                                 cfg)
+        assert calls["state_and_jacobian"] == len(trace) == 21
+    assert calls["other_maps"] == 0 and calls["matrix"] == 0

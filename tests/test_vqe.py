@@ -126,3 +126,8 @@ def test_hamiltonian_rejects_bad_nu(tmp_path):
         vqe.Hamiltonian.from_json(path)
     with pytest.raises(ValueError, match="finite"):
         vqe.Hamiltonian(nu=(np.inf, 0, 0, 0, 0, 0))
+    for bad in (None, "1", True):
+        with pytest.raises(ValueError, match="real numbers"):
+            vqe.Hamiltonian.from_dict({"nu": [bad, 0, 0, 0, 0, 0]})
+    with pytest.raises(ValueError, match="exactly 6"):
+        vqe.Hamiltonian.from_dict([1, 0, 0, 0, 0, 0])
