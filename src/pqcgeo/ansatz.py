@@ -73,9 +73,10 @@ def param_count(kind: str) -> int:
 
 
 def _check_theta(kind: str, theta) -> np.ndarray:
+    """theta as a float array of shape (..., m), every value finite."""
     theta = np.asarray(theta, dtype=float)
     m = _N_PARAMS[kind]
-    if theta.shape != (m,):
+    if theta.shape[-1:] != (m,):
         raise ValueError(f"{kind} takes {m} parameters, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
@@ -83,85 +84,79 @@ def _check_theta(kind: str, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state maps and Jacobians
+# state maps and Jacobians: each fills the zeroed state psi (..., 4) and
+# Jacobian jac (..., 4, m) at the parameters t (..., m)
 # ---------------------------------------------------------------------------
 
-def _hea_state_jac(t):
-    t1, t2, t3, t4 = t
+def _columns(a):
+    """View of a (..., k) array with the last axis first: a[..., 0], a[..., 1], ..."""
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def _put(out, *entries):
+    """out[..., k] = entries[k] for every k."""
+    _columns(out)[...] = entries
+
+
+def _hea_state_jac(t, psi, jac):
+    t1, t2, t3, t4 = _columns(t)
     c1, s1, c3, s3 = np.cos(t1), np.sin(t1), np.cos(t3), np.sin(t3)
     cp, sp = np.cos(t2 + t4), np.sin(t2 + t4)
     cm, sm = np.cos(t2 - t4), np.sin(t2 - t4)
-    psi = np.array(
-        [c1 * c3 * cp - s1 * s3 * sm,
-         c1 * c3 * sp - s1 * s3 * cm,
-         c1 * s3 * cp + s1 * c3 * sm,
-         s1 * c3 * cm + c1 * s3 * sp],
-        dtype=complex,
-    )
-    jac = np.empty((4, 4), dtype=complex)
-    jac[:, 0] = [-s1 * c3 * cp - c1 * s3 * sm,
-                 -s1 * c3 * sp - c1 * s3 * cm,
-                 -s1 * s3 * cp + c1 * c3 * sm,
-                 c1 * c3 * cm - s1 * s3 * sp]
-    jac[:, 1] = [-c1 * c3 * sp - s1 * s3 * cm,
-                 c1 * c3 * cp + s1 * s3 * sm,
-                 -c1 * s3 * sp + s1 * c3 * cm,
-                 -s1 * c3 * sm + c1 * s3 * cp]
-    jac[:, 2] = [-c1 * s3 * cp - s1 * c3 * sm,
-                 -c1 * s3 * sp - s1 * c3 * cm,
-                 c1 * c3 * cp - s1 * s3 * sm,
-                 -s1 * s3 * cm + c1 * c3 * sp]
-    jac[:, 3] = [-c1 * c3 * sp + s1 * s3 * cm,
-                 c1 * c3 * cp - s1 * s3 * sm,
-                 -c1 * s3 * sp - s1 * c3 * cm,
-                 s1 * c3 * sm + c1 * s3 * cp]
-    return psi, jac
+    _put(psi, c1 * c3 * cp - s1 * s3 * sm, c1 * c3 * sp - s1 * s3 * cm,
+         c1 * s3 * cp + s1 * c3 * sm, s1 * c3 * cm + c1 * s3 * sp)
+    _put(jac[..., 0], -s1 * c3 * cp - c1 * s3 * sm, -s1 * c3 * sp - c1 * s3 * cm,
+         -s1 * s3 * cp + c1 * c3 * sm, c1 * c3 * cm - s1 * s3 * sp)
+    _put(jac[..., 1], -c1 * c3 * sp - s1 * s3 * cm, c1 * c3 * cp + s1 * s3 * sm,
+         -c1 * s3 * sp + s1 * c3 * cm, -s1 * c3 * sm + c1 * s3 * cp)
+    _put(jac[..., 2], -c1 * s3 * cp - s1 * c3 * sm, -c1 * s3 * sp - s1 * c3 * cm,
+         c1 * c3 * cp - s1 * s3 * sm, -s1 * s3 * cm + c1 * c3 * sp)
+    _put(jac[..., 3], -c1 * c3 * sp + s1 * s3 * cm, c1 * c3 * cp - s1 * s3 * sm,
+         -c1 * s3 * sp - s1 * c3 * cm, s1 * c3 * sm + c1 * s3 * cp)
 
 
-def _ldca_state_jac(t):
-    t1, t2, t3, t4, t5 = t
+def _ldca_state_jac(t, psi, jac):
+    t1, t2, t3, t4, t5 = _columns(t)
     e = np.exp(-0.5j * (t1 - t2 - t4))
     c3, s3, c5, s5 = np.cos(t3), np.sin(t3), np.cos(t5), np.sin(t5)
-    u = c3 * c5 - 1j * s3 * s5
-    v = -(s5 * c3 + 1j * s3 * c5)
-    psi = np.array([0.0, e * u, e * v, 0.0], dtype=complex)
-    jac = np.zeros((4, 5), dtype=complex)
+    psi[..., 1] = e * (c3 * c5 - 1j * s3 * s5)
+    psi[..., 2] = e * -(s5 * c3 + 1j * s3 * c5)
     # t1, t2, t4 enter only through the overall phase
-    jac[:, 0] = -0.5j * psi
-    jac[:, 1] = 0.5j * psi
-    jac[:, 3] = 0.5j * psi
-    jac[1, 2] = e * (-s3 * c5 - 1j * c3 * s5)
-    jac[2, 2] = e * (s3 * s5 - 1j * c3 * c5)
-    jac[1, 4] = e * (-c3 * s5 - 1j * s3 * c5)
-    jac[2, 4] = e * (-c3 * c5 + 1j * s3 * s5)
-    return psi, jac
+    jac[..., 0] = -0.5j * psi
+    jac[..., 1] = 0.5j * psi
+    jac[..., 3] = 0.5j * psi
+    jac[..., 1, 2] = e * (-s3 * c5 - 1j * c3 * s5)
+    jac[..., 2, 2] = e * (s3 * s5 - 1j * c3 * c5)
+    jac[..., 1, 4] = e * (-c3 * s5 - 1j * s3 * c5)
+    jac[..., 2, 4] = e * (-c3 * c5 + 1j * s3 * s5)
 
 
-def _qgan_state_jac(t):
-    t1, t2, t3, t4, t5 = t
+_Z1_DIAG = np.array([1, 1, -1, -1], dtype=complex)
+_Z2_DIAG = np.array([1, -1, 1, -1], dtype=complex)
+_Z1Z2_DIAG = np.array([1, -1, -1, 1], dtype=complex)
+
+
+def _qgan_state_jac(t, psi, jac):
+    t1, t2, t3, t4, t5 = _columns(t)
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
     p00 = np.exp(-0.5j * (t3 + t4 + t5))
     p01 = np.exp(-0.5j * (t3 - t4 - t5))
     p10 = np.exp(0.5j * (t3 - t4 + t5))
     p11 = np.exp(0.5j * (t3 + t4 - t5))
-    psi = np.array(
-        [p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2]
-    )
-    jac = np.empty((4, 5), dtype=complex)
-    jac[:, 0] = [p00 * (-s1 / 2) * c2, -1j * p01 * (-s1 / 2) * s2,
-                 -1j * p10 * (c1 / 2) * c2, -p11 * (c1 / 2) * s2]
-    jac[:, 1] = [p00 * c1 * (-s2 / 2), -1j * p01 * c1 * (c2 / 2),
-                 -1j * p10 * s1 * (-s2 / 2), -p11 * s1 * (c2 / 2)]
+    _put(psi, p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2)
+    _put(jac[..., 0], p00 * (-s1 / 2) * c2, -1j * p01 * (-s1 / 2) * s2,
+         -1j * p10 * (c1 / 2) * c2, -p11 * (c1 / 2) * s2)
+    _put(jac[..., 1], p00 * c1 * (-s2 / 2), -1j * p01 * c1 * (c2 / 2),
+         -1j * p10 * s1 * (-s2 / 2), -p11 * s1 * (c2 / 2))
     # t3, t4, t5 generate Z1, Z2, Z1Z2 phase patterns
-    jac[:, 2] = -0.5j * psi * np.array([1, 1, -1, -1])
-    jac[:, 3] = -0.5j * psi * np.array([1, -1, 1, -1])
-    jac[:, 4] = -0.5j * psi * np.array([1, -1, -1, 1])
-    return psi, jac
+    jac[..., 2] = -0.5j * psi * _Z1_DIAG
+    jac[..., 3] = -0.5j * psi * _Z2_DIAG
+    jac[..., 4] = -0.5j * psi * _Z1Z2_DIAG
 
 
-def _shea_state_jac(t):
-    t1, t2, t3, t4, t5, t6 = t
+def _shea_state_jac(t, psi, jac):
+    t1, t2, t3, t4, t5, t6 = _columns(t)
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
     c3, s3 = np.cos(t3 / 2), np.sin(t3 / 2)
@@ -169,53 +164,47 @@ def _shea_state_jac(t):
     pb = np.exp(-0.5j * (t5 - t6))
     pg = np.exp(0.5j * (t5 - t6))
     pd = np.exp(-0.25j * (t4 - 2 * (t5 + t6)))
-    psi = np.array(
-        [-1j * pa * c1 * s2,
+    _put(psi,
+         -1j * pa * c1 * s2,
          pb * (c1 * c2 * c3 - 1j * s1 * s2 * s3),
          pg * (-s1 * s2 * c3 + 1j * c1 * c2 * s3),
-         -1j * pd * s1 * c2]
-    )
-    jac = np.zeros((4, 6), dtype=complex)
-    jac[:, 0] = [-1j * pa * (-s1 / 2) * s2,
-                 pb * ((-s1 / 2) * c2 * c3 - 1j * (c1 / 2) * s2 * s3),
-                 pg * (-(c1 / 2) * s2 * c3 + 1j * (-s1 / 2) * c2 * s3),
-                 -1j * pd * (c1 / 2) * c2]
-    jac[:, 1] = [-1j * pa * c1 * (c2 / 2),
-                 pb * (c1 * (-s2 / 2) * c3 - 1j * s1 * (c2 / 2) * s3),
-                 pg * (-s1 * (c2 / 2) * c3 + 1j * c1 * (-s2 / 2) * s3),
-                 -1j * pd * s1 * (-s2 / 2)]
-    jac[1, 2] = pb * (c1 * c2 * (-s3 / 2) - 1j * s1 * s2 * (c3 / 2))
-    jac[2, 2] = pg * (-s1 * s2 * (-s3 / 2) + 1j * c1 * c2 * (c3 / 2))
-    jac[3, 3] = -0.25j * psi[3]
-    jac[:, 4] = -0.5j * psi * np.array([1, 1, -1, -1])
-    jac[:, 5] = -0.5j * psi * np.array([1, -1, 1, -1])
-    return psi, jac
+         -1j * pd * s1 * c2)
+    _put(jac[..., 0],
+         -1j * pa * (-s1 / 2) * s2,
+         pb * ((-s1 / 2) * c2 * c3 - 1j * (c1 / 2) * s2 * s3),
+         pg * (-(c1 / 2) * s2 * c3 + 1j * (-s1 / 2) * c2 * s3),
+         -1j * pd * (c1 / 2) * c2)
+    _put(jac[..., 1],
+         -1j * pa * c1 * (c2 / 2),
+         pb * (c1 * (-s2 / 2) * c3 - 1j * s1 * (c2 / 2) * s3),
+         pg * (-s1 * (c2 / 2) * c3 + 1j * c1 * (-s2 / 2) * s3),
+         -1j * pd * s1 * (-s2 / 2))
+    jac[..., 1, 2] = pb * (c1 * c2 * (-s3 / 2) - 1j * s1 * s2 * (c3 / 2))
+    jac[..., 2, 2] = pg * (-s1 * s2 * (-s3 / 2) + 1j * c1 * c2 * (c3 / 2))
+    jac[..., 3, 3] = -0.25j * psi[..., 3]
+    jac[..., 4] = -0.5j * psi * _Z1_DIAG
+    jac[..., 5] = -0.5j * psi * _Z2_DIAG
 
 
-_X1 = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
-_X2 = np.kron(np.eye(2), np.array([[0, 1], [1, 0]], dtype=complex))
-_Z1_DIAG = np.array([1, 1, -1, -1], dtype=complex)
-_Z2_DIAG = np.array([1, -1, 1, -1], dtype=complex)
-
-
-def _rx2(th):
-    c, s = np.cos(th / 2), np.sin(th / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def _qgan_aug_state_jac(t):
-    psi_q, jac_q = _qgan_state_jac(t[:5])
-    a = np.kron(_rx2(t[5]), _rx2(t[6]))
-    rz_diag = np.exp(-0.5j * t[7] * _Z1_DIAG) * np.exp(-0.5j * t[8] * _Z2_DIAG)
-    a_psi = a @ psi_q
-    psi = rz_diag * a_psi
-    jac = np.empty((4, 9), dtype=complex)
-    jac[:, :5] = rz_diag[:, None] * (a @ jac_q)
-    jac[:, 5] = rz_diag * (-0.5j * (_X1 @ a_psi))
-    jac[:, 6] = rz_diag * (-0.5j * (_X2 @ a_psi))
-    jac[:, 7] = -0.5j * _Z1_DIAG * psi
-    jac[:, 8] = -0.5j * _Z2_DIAG * psi
-    return psi, jac
+def _qgan_aug_state_jac(t, psi, jac):
+    psi_q, jac_q = _evaluate(QGAN, t[..., :5])
+    t8, t9 = _columns(t[..., 7:])
+    half = t[..., 5:7] / 2
+    rx = np.empty(half.shape + (2, 2), dtype=complex)  # R_X(t6) and R_X(t7)
+    rx[..., 0, 0] = rx[..., 1, 1] = np.cos(half)
+    rx[..., 0, 1] = rx[..., 1, 0] = -1j * np.sin(half)
+    # R_X(t6) (x) R_X(t7) as the outer product of the two 2 x 2 rotations
+    a = (rx[..., 0, :, None, :, None] * rx[..., 1, None, :, None, :]).reshape(psi.shape + (4,))
+    rz_diag = (np.exp(-0.5j * t8[..., None] * _Z1_DIAG)
+               * np.exp(-0.5j * t9[..., None] * _Z2_DIAG))
+    a_psi = (a @ psi_q[..., None])[..., 0]
+    np.multiply(rz_diag, a_psi, out=psi)
+    np.multiply(rz_diag[..., None], a @ jac_q, out=jac[..., :5])
+    # X1 and X2 permute the amplitudes
+    jac[..., 5] = rz_diag * (-0.5j * a_psi[..., [2, 3, 0, 1]])
+    jac[..., 6] = rz_diag * (-0.5j * a_psi[..., [1, 0, 3, 2]])
+    jac[..., 7] = -0.5j * _Z1_DIAG * psi
+    jac[..., 8] = -0.5j * _Z2_DIAG * psi
 
 
 _STATE_JAC = {
@@ -227,42 +216,38 @@ _STATE_JAC = {
 }
 
 
-def prepare_state(kind: str, theta) -> np.ndarray:
-    """Normalized statevector of the ansatz at the given parameters."""
+def _evaluate(kind: str, theta) -> tuple[np.ndarray, np.ndarray]:
     kind = resolve_kind(kind)
-    theta = _check_theta(kind, theta)
-    return _STATE_JAC[kind](theta)[0]
+    t = _check_theta(kind, theta)
+    psi = np.zeros(t.shape[:-1] + (4,), dtype=complex)
+    jac = np.zeros(t.shape[:-1] + (4, t.shape[-1]), dtype=complex)
+    _STATE_JAC[kind](t, psi, jac)
+    return psi, jac
+
+
+def prepare_state(kind: str, theta) -> np.ndarray:
+    """Normalized statevector(s): (..., m) parameters give (..., 4) amplitudes."""
+    return _evaluate(kind, theta)[0]
 
 
 def state_jacobian(kind: str, theta) -> np.ndarray:
-    """Analytic 4 x m Jacobian; column j is d|psi>/d theta_j."""
-    kind = resolve_kind(kind)
-    theta = _check_theta(kind, theta)
-    return _STATE_JAC[kind](theta)[1]
+    """Analytic (..., 4, m) Jacobian; column j is d|psi>/d theta_j."""
+    return _evaluate(kind, theta)[1]
 
 
 def state_and_jacobian(kind: str, theta) -> tuple[np.ndarray, np.ndarray]:
-    kind = resolve_kind(kind)
-    theta = _check_theta(kind, theta)
-    return _STATE_JAC[kind](theta)
+    """The (..., 4) state and its (..., 4, m) Jacobian from one evaluation."""
+    return _evaluate(kind, theta)
 
 
 # ---------------------------------------------------------------------------
 # closed-form concurrence and scalar curvature
 # ---------------------------------------------------------------------------
 
-def _theta_cols(kind, theta):
-    theta = np.asarray(theta, dtype=float)
-    m = _N_PARAMS[kind]
-    if theta.shape[-1] != m:
-        raise ValueError(f"{kind} takes {m} parameters, got trailing dimension {theta.shape[-1:]}")
-    return np.moveaxis(theta, -1, 0)
-
-
 def concurrence_closed(kind: str, theta) -> np.ndarray | float:
     """Closed-form concurrence; broadcasts over leading axes of theta."""
     kind = resolve_kind(kind)
-    t = _theta_cols(kind, theta)
+    t = _columns(_check_theta(kind, theta))
     if kind == HEA:
         c = np.abs(np.sin(2 * t[0]) * np.cos(2 * t[1]))
     elif kind == LDCA:
@@ -301,6 +286,8 @@ def ricci_closed_circuit(kind: str, theta) -> float:
     """
     kind = resolve_kind(kind)
     theta = _check_theta(kind, theta)
+    if theta.ndim != 1:
+        raise ValueError(f"expected one parameter vector, got shape {theta.shape}")
     c = concurrence_closed(kind, theta)
     if 1.0 - c <= 1e-12:
         raise SingularityError(f"curvature pole: concurrence = {c!r}")
@@ -310,7 +297,7 @@ def ricci_closed_circuit(kind: str, theta) -> float:
 def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:
     """Vectorized per-circuit curvature; poles evaluate to -inf instead of raising."""
     kind = resolve_kind(kind)
-    t = _theta_cols(kind, theta)
+    t = _columns(_check_theta(kind, theta))
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == HEA:
             s = np.sin(2 * t[0]) * np.cos(2 * t[1])

@@ -6,14 +6,14 @@ consumers. Per-trial VQE traces use the fixed column set
     step, energy, energy_error, concurrence, ricci, grad_norm, theta_1 .. theta_m
 
 and the run summary JSON carries per-step mean/std across trials (shorter
-traces are padded by carrying their final record forward) plus the per-trial
-steps-to-threshold statistics.
+traces are padded by carrying their final record forward), the per-trial
+steps-to-threshold statistics and QNG fallback counts, and the inversion policy.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,17 +92,23 @@ def run_vqe_experiment(config: ExperimentConfig) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traces = optimize.run_trials(config.kind, hamiltonian, config.opt, config.trials)
+    for stale in out.glob("trial_*.csv"):  # left by an earlier run with more trials
+        stale.unlink()
     for k, trace in enumerate(traces):
         write_trace_csv(out / f"trial_{k:03d}.csv", trace)
+    inversion = config.opt.inversion
     summary = {
         "ansatz": config.kind,
         "optimizer": config.opt.optimizer,
         "metric_mode": config.opt.metric_mode,
+        "inversion": {"policy": "tikhonov" if isinstance(inversion, qgt.Tikhonov) else "pinv",
+                      **asdict(inversion)},
         "learning_rate": config.opt.learning_rate,
         "tol": config.opt.tol,
         "max_steps": config.opt.max_steps,
         "seed": config.opt.seed,
         "trials": config.trials,
+        "qng_fallback_steps": [sum(rec.qng_fallback for rec in trace) for trace in traces],
         "hamiltonian": {"label": hamiltonian.label, "nu": list(hamiltonian.nu),
                         "ground_energy": ground.energy,
                         "ground_concurrence": ground.concurrence},
@@ -201,30 +207,31 @@ def _suite_concurrence(rng: np.random.Generator) -> tuple[bool, str]:
     for kind in ansatz.ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(10_000, ansatz.param_count(kind)))
         closed = ansatz.concurrence_closed(kind, thetas)
-        states = np.fromiter((ansatz.prepare_state(kind, t) for t in thetas),
-                             dtype=(complex, 4), count=len(thetas))
-        brute = geometry.concurrence(states)
+        # 1,000 samples per call bounds the memory of the Jacobians built alongside
+        brute = np.concatenate([geometry.concurrence(ansatz.prepare_state(kind, part))
+                                for part in np.split(thetas, 10)])
         worst = max(worst, float(np.abs(closed - brute).max()))
     return worst <= 1e-9, f"max |closed - brute| = {worst:.3e} (tol 1e-9)"
 
 
 def _suite_hopf(rng: np.random.Generator) -> tuple[bool, str]:
-    worst_embed = worst_conc = worst_fiber = 0.0
-    for _ in range(10_000):
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        x = geometry.base_coordinates(v)
-        worst_embed = max(worst_embed, abs(float(x @ x) - 1.0))
-        worst_conc = max(worst_conc, abs(np.hypot(x[2], x[3]) - geometry.concurrence(v)))
-        f = geometry.hopf_fiber(v)
+    # each sample draws its 4 real parts, then its 4 imaginary parts
+    parts = rng.normal(size=(10_000, 2, 4))
+    v = parts[:, 0] + 1j * parts[:, 1]
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    x = geometry.base_coordinates(v)
+    worst_embed = float(np.abs(np.sum(x * x, axis=-1) - 1.0).max())
+    worst_conc = float(np.abs(np.hypot(x[:, 2], x[:, 3]) - geometry.concurrence(v)).max())
+    worst_fiber = 0.0
+    for state in v:
+        f = geometry.hopf_fiber(state)
         worst_fiber = max(worst_fiber, abs(
             geometry.quat_norm2(f.q_plus) + geometry.quat_norm2(f.q_minus) - 1.0))
     zero_worst = 0.0
     for kind, idx in ((ansatz.LDCA, (1, 4)), (ansatz.QGAN, (3,)), (ansatz.HEA, (2, 4))):
-        for _ in range(1000):
-            x = geometry.base_coordinates(
-                ansatz.prepare_state(kind, rng.uniform(0, 2 * np.pi, ansatz.param_count(kind))))
-            zero_worst = max(zero_worst, float(np.abs(x[list(idx)]).max()))
+        thetas = rng.uniform(0, 2 * np.pi, (1000, ansatz.param_count(kind)))
+        x = geometry.base_coordinates(ansatz.prepare_state(kind, thetas))
+        zero_worst = max(zero_worst, float(np.abs(x[:, list(idx)]).max()))
     ok = max(worst_embed, worst_conc, worst_fiber, zero_worst) <= 1e-9
     return ok, (f"sum x^2 dev {worst_embed:.2e}, C identity dev {worst_conc:.2e}, "
                 f"fiber norm dev {worst_fiber:.2e}, coordinate zeros {zero_worst:.2e} (tol 1e-9)")
@@ -258,28 +265,29 @@ def _suite_qgt(rng: np.random.Generator) -> tuple[bool, str]:
     lam_min = {}
     for kind in ansatz.ANSATZE:
         lams = []
-        for _ in range(1000):
-            g = qgt.qgt_full(kind, rng.uniform(0, 2 * np.pi, ansatz.param_count(kind)))
-            herm_worst = max(herm_worst, float(np.abs(g - g.conj().T).max()))
-            w = np.linalg.eigvalsh(0.5 * (g.real + g.real.T))
-            psd_worst = min(psd_worst, float(w[0]))
-            lams.append(float(w[0]))
-        lam_min[kind] = np.array(lams)
+        # 250 samples per call bounds the memory of the stacked tensors
+        for th in np.split(rng.uniform(0, 2 * np.pi, (1000, ansatz.param_count(kind))), 4):
+            g = qgt.qgt_full(kind, th)
+            herm_worst = max(herm_worst, float(np.abs(g - g.conj().swapaxes(-1, -2)).max()))
+            w = np.linalg.eigvalsh(0.5 * (g.real + g.real.swapaxes(-1, -2)))
+            psd_worst = min(psd_worst, float(w[:, 0].min()))
+            lams.append(w[:, 0])
+        lam_min[kind] = np.concatenate(lams)
     ok &= herm_worst <= 1e-10 and psd_worst >= -1e-10
     msgs.append(f"hermiticity {herm_worst:.1e}, min eigenvalue {psd_worst:.1e}")
-    # the exactly-known constant entries of the hea and ldca metrics
-    dev = 0.0
-    for _ in range(200):
-        g = qgt.fs_metric(ansatz.HEA, rng.uniform(0, 2 * np.pi, 4))
-        expected = np.eye(4)
-        for (i, j) in ((0, 2), (1, 3), (2, 3)):
-            expected[i, j] = expected[j, i] = g[i, j]  # non-constant entries pass through
-        dev = max(dev, float(np.abs(g - expected).max()))
-        g = qgt.fs_metric(ansatz.LDCA, rng.uniform(0, 2 * np.pi, 5))
-        expected = np.zeros((5, 5))
-        expected[2, 2] = 1.0  # constant mixing-entry of the closed-form map
-        expected[4, 4] = g[4, 4]
-        dev = max(dev, float(np.abs(g - expected).max()))
+    # the exactly-known constant entries of the hea and ldca metrics; each of the
+    # 200 samples draws its 4 hea parameters, then its 5 ldca parameters
+    thetas = rng.uniform(0, 2 * np.pi, (200, 9))
+    g = qgt.fs_metric(ansatz.HEA, thetas[:, :4])
+    expected = np.broadcast_to(np.eye(4), g.shape).copy()
+    for (i, j) in ((0, 2), (1, 3), (2, 3)):
+        expected[:, i, j] = expected[:, j, i] = g[:, i, j]  # non-constant entries pass through
+    dev = float(np.abs(g - expected).max())
+    g = qgt.fs_metric(ansatz.LDCA, thetas[:, 4:])
+    expected = np.zeros_like(g)
+    expected[:, 2, 2] = 1.0  # constant mixing-entry of the closed-form map
+    expected[:, 4, 4] = g[:, 4, 4]
+    dev = max(dev, float(np.abs(g - expected).max()))
     ok &= dev <= 1e-8
     msgs.append(f"hea/ldca constant entries dev {dev:.1e}")
     sing = max(lam_min[ansatz.HEA].max(), lam_min[ansatz.LDCA].max())
@@ -299,17 +307,15 @@ def _suite_gradients(rng: np.random.Generator) -> tuple[bool, str]:
         m = ansatz.param_count(kind)
         theta = rng.uniform(0, 2 * np.pi, m)
         ham = vqe.Hamiltonian(nu=tuple(rng.normal(size=6)))
-        grad = vqe.energy_gradient(kind, theta, ham)
-        jac = ansatz.state_jacobian(kind, theta)
+        psi, jac = ansatz.state_and_jacobian(kind, theta)
+        grad = vqe.gradient_from_state(ham, psi, jac)
+        # row j of psi_p / psi_m is the state at theta +- h e_j
+        shift = h * np.eye(m)
+        psi_p, psi_m = ansatz.prepare_state(kind, np.stack([theta + shift, theta - shift]))
+        worst_j = max(worst_j, float(np.abs((psi_p - psi_m) / (2 * h) - jac.T).max()))
         for j in range(m):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            ep = vqe.energy(ham, ansatz.prepare_state(kind, tp))
-            em = vqe.energy(ham, ansatz.prepare_state(kind, tm))
-            worst_g = max(worst_g, abs(grad[j] - (ep - em) / (2 * h)))
-            col = (ansatz.prepare_state(kind, tp) - ansatz.prepare_state(kind, tm)) / (2 * h)
-            worst_j = max(worst_j, float(np.abs(col - jac[:, j]).max()))
+            fd = (vqe.energy(ham, psi_p[j]) - vqe.energy(ham, psi_m[j])) / (2 * h)
+            worst_g = max(worst_g, abs(grad[j] - fd))
     ok = worst_g <= 1e-6 and worst_j <= 1e-6
     return ok, f"energy grad dev {worst_g:.2e}, jacobian dev {worst_j:.2e} (tol 1e-6)"
 

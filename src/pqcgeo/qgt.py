@@ -65,13 +65,14 @@ def canonical_mode(mode: str) -> str:
 
 
 def qgt_from_state(psi: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """QGT from a state and its parameter Jacobian (columns d|psi>/d theta_j)."""
-    v = jac.conj().T @ psi
-    return jac.conj().T @ jac - np.outer(v, v.conj())
+    """QGT from a (..., 4) state and its (..., 4, m) Jacobian (columns d|psi>/d theta_j)."""
+    jac_h = jac.conj().swapaxes(-1, -2)
+    v = (jac_h @ psi[..., None])[..., 0]
+    return jac_h @ jac - v[..., :, None] * v.conj()[..., None, :]
 
 
 def qgt_full(kind: str, theta) -> np.ndarray:
-    """Hermitian m x m QGT of the ansatz at theta."""
+    """Hermitian (..., m, m) QGT of the ansatz at (..., m) parameters."""
     psi, jac = ansatz.state_and_jacobian(kind, theta)
     return qgt_from_state(psi, jac)
 
@@ -95,11 +96,11 @@ def fs_metric_from_state(psi: np.ndarray, jac: np.ndarray, mask: np.ndarray) -> 
     """Fubini-Study metric Re(QGT) from a state and its Jacobian, exactly
     symmetrized; entries where the block_mask result is False are exactly zero."""
     g = qgt_from_state(psi, jac).real
-    return np.where(mask, 0.5 * (g + g.T), 0.0)
+    return np.where(mask, 0.5 * (g + g.swapaxes(-1, -2)), 0.0)
 
 
 def fs_metric(kind: str, theta, mode: str = DENSE) -> np.ndarray:
-    """Fubini-Study metric of the ansatz at theta under the dense/block/diag mode."""
+    """Fubini-Study metric of the ansatz at (..., m) parameters under the dense/block/diag mode."""
     return fs_metric_from_state(*ansatz.state_and_jacobian(kind, theta), block_mask(kind, mode))
 
 

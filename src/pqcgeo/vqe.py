@@ -42,6 +42,8 @@ class Hamiltonian:
             raise ValueError("Hamiltonian coefficients must be finite")
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
         matrix = self.observable().matrix()
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("Hamiltonian coefficients too large: the matrix overflows")
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 
@@ -92,12 +94,13 @@ def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> float:
 
 
 def gradient_from_state(hamiltonian: Hamiltonian, psi: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """dE/d theta_j = 2 Re <d_j psi|H|psi> from a state and its Jacobian columns."""
-    return 2.0 * np.real(jac.conj().T @ (hamiltonian.matrix() @ psi))
+    """dE/d theta_j = 2 Re <d_j psi|H|psi> from a (..., 4) state and its (..., 4, m) Jacobian."""
+    h_psi = hamiltonian.matrix() @ psi[..., None]
+    return 2.0 * np.real(jac.conj().swapaxes(-1, -2) @ h_psi)[..., 0]
 
 
 def energy_gradient(kind: str, theta, hamiltonian: Hamiltonian) -> np.ndarray:
-    """Analytic gradient of the energy at theta."""
+    """Analytic (..., m) gradient of the energy at (..., m) parameters."""
     return gradient_from_state(hamiltonian, *ansatz.state_and_jacobian(kind, theta))
 
 

@@ -188,3 +188,76 @@ def test_ricci_circuit_matches_universal_form():
         universal = ricci_closed(c[keep])
         rel = np.abs(circuit - universal) / (1.0 + np.abs(universal))
         assert rel.max() < 1e-8
+
+
+# --- the batch axis: (..., m) parameters broadcast through the state maps ---
+
+def _per_row(fn, thetas):
+    """fn called on each parameter vector of thetas, stacked back into its leading shape."""
+    rows = [fn(t) for t in thetas.reshape(-1, thetas.shape[-1])]
+    return np.array(rows).reshape(thetas.shape[:-1] + rows[0].shape)
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_batched_state_maps_match_per_row_calls(kind):
+    rng = np.random.default_rng(RNG_SEED + 7)
+    m = ansatz.param_count(kind)
+    thetas = rng.uniform(0, 2 * np.pi, (7, 3, m))
+    psi, jac = ansatz.state_and_jacobian(kind, thetas)
+    assert psi.shape == (7, 3, 4) and jac.shape == (7, 3, 4, m)
+    close = dict(rtol=0, atol=1e-15)
+    np.testing.assert_allclose(psi, _per_row(lambda t: ansatz.state_and_jacobian(kind, t)[0],
+                                             thetas), **close)
+    np.testing.assert_allclose(jac, _per_row(lambda t: ansatz.state_and_jacobian(kind, t)[1],
+                                             thetas), **close)
+    np.testing.assert_allclose(ansatz.prepare_state(kind, thetas),
+                               _per_row(lambda t: ansatz.prepare_state(kind, t), thetas), **close)
+    np.testing.assert_allclose(ansatz.state_jacobian(kind, thetas),
+                               _per_row(lambda t: ansatz.state_jacobian(kind, t), thetas), **close)
+
+
+def test_batched_parameters_validated_and_curvature_single_vector():
+    with pytest.raises(ValueError, match="parameters"):
+        ansatz.prepare_state(HEA, np.zeros((2, 3)))
+    bad = np.zeros((2, 4))
+    bad[1, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        ansatz.state_and_jacobian(HEA, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ansatz.ricci_circuit_grid(HEA, bad)
+    with pytest.raises(ValueError, match="one parameter vector"):
+        ansatz.ricci_closed_circuit(HEA, np.zeros((2, 4)))
+
+
+def _qgan_aug_kron_reference(t):
+    """qgan-aug as R_Z(t8) R_Z(t9) (R_X(t6) (x) R_X(t7)) on the qgan state, built with np.kron."""
+    def rx(th):
+        c, s = np.cos(th / 2), np.sin(th / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z1 = np.array([1, 1, -1, -1], dtype=complex)
+    z2 = np.array([1, -1, 1, -1], dtype=complex)
+    psi_q, jac_q = ansatz.state_and_jacobian(QGAN, t[:5])
+    a = np.kron(rx(t[5]), rx(t[6]))
+    rz = np.exp(-0.5j * t[7] * z1) * np.exp(-0.5j * t[8] * z2)
+    a_psi = a @ psi_q
+    psi = rz * a_psi
+    jac = np.empty((4, 9), dtype=complex)
+    jac[:, :5] = rz[:, None] * (a @ jac_q)
+    jac[:, 5] = rz * (-0.5j * (np.kron(x, np.eye(2)) @ a_psi))
+    jac[:, 6] = rz * (-0.5j * (np.kron(np.eye(2), x) @ a_psi))
+    jac[:, 7] = -0.5j * z1 * psi
+    jac[:, 8] = -0.5j * z2 * psi
+    return psi, jac
+
+
+def test_qgan_aug_matches_kron_reference_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    thetas = rng.uniform(-10, 10, (500, 9))
+    thetas[::5, rng.integers(9, size=100)] = 0.0
+    for theta in thetas:
+        psi, jac = ansatz.state_and_jacobian(QGAN_AUG, theta)
+        ref_psi, ref_jac = _qgan_aug_kron_reference(theta)
+        assert psi.tobytes() == ref_psi.tobytes()
+        assert jac.tobytes() == ref_jac.tobytes()

@@ -188,6 +188,7 @@ def test_cli_hopf_and_exit_codes(tmp_path, capsys):
 
     # configuration errors exit 2
     assert main(["hopf", "--ansatz", "hea", "--theta", "0,0"]) == 2
+    assert main(["hopf", "--ansatz", "qgan", "--theta", "1,2,3,4,nan"]) == 2
     assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", str(tmp_path / "missing.json"),
                  "--trials", "1", "--steps", "1"]) == 2
     bad = tmp_path / "bad.json"
@@ -197,8 +198,8 @@ def test_cli_hopf_and_exit_codes(tmp_path, capsys):
         bad.write_text(text)
         assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", str(bad),
                      "--trials", "1", "--steps", "1"]) == 2
-    # --fix must name an unscanned index in 1..m
-    for fix in ("0=1.5", "7=1.5", "2=1.5"):
+    # --fix must name an unscanned index in 1..m and a finite value
+    for fix in ("0=1.5", "7=1.5", "2=1.5", "5=nan", "5=inf"):
         assert main(["scan-landscape", "--ansatz", "shea", "--scan", "1", "2", "--fix", fix,
                      "--grid", "3", "--out", str(tmp_path / "fix")]) == 2
     assert not (tmp_path / "fix.csv").exists()
@@ -218,3 +219,84 @@ def test_cli_run_vqe_and_scan(tmp_path, capsys):
     rc = main(["scan-landscape", "--ansatz", "hea", "--scan", "1", "2",
                "--fix", "oops", "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_rerun_with_fewer_trials_removes_stale_trial_files(tmp_path):
+    harness.run_vqe_experiment(_experiment(tmp_path, trials=3))
+    harness.run_vqe_experiment(_experiment(tmp_path, trials=1))
+    assert sorted(p.name for p in tmp_path.glob("trial_*.csv")) == ["trial_000.csv"]
+
+
+def _run_vqe_summary(tmp_path, *extra):
+    out = tmp_path / "_".join(extra or ("default",))
+    assert main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", "entangled",
+                 "--optimizer", "qng", "--trials", "2", "--steps", "6", "--seed", "3",
+                 "--out", str(out), *extra]) == 0
+    steps = [len((out / f"trial_{k:03d}.csv").read_text().splitlines()) - 2 for k in range(2)]
+    return json.loads((out / "summary.json").read_text()), steps
+
+
+def test_summary_records_inversion_and_qng_fallback_steps(tmp_path):
+    # rcond 2 keeps no eigenvalue, so every update of a "qng" run is a plain GD step
+    summary, steps = _run_vqe_summary(tmp_path, "--rcond", "2")
+    assert summary["inversion"] == {"policy": "pinv", "rcond": 2.0}
+    assert summary["qng_fallback_steps"] == steps and min(steps) > 0
+    summary, _ = _run_vqe_summary(tmp_path)
+    assert summary["inversion"] == {"policy": "pinv", "rcond": 1e-8}
+    assert summary["qng_fallback_steps"] == [0, 0]
+    summary, _ = _run_vqe_summary(tmp_path, "--inversion", "tikhonov", "--epsilon", "0.01")
+    assert summary["inversion"] == {"policy": "tikhonov", "epsilon": 0.01}
+    assert summary["qng_fallback_steps"] == [0, 0]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors, e.g. "--clip -inf 1"
+        return exc.code
+
+
+def test_cli_boundary_property_scan_and_hamiltonian_json(tmp_path):
+    # seeded random --scan/--fix combinations and mutated Hamiltonian JSON documents:
+    # every one exits 0 or 2 through cli.main, none raises
+    rng = np.random.default_rng(20260808)
+    values = ["1.5", "-2", "0", "nan", "inf", "-inf", "1e400", "abc", "", "1=2"]
+    for _ in range(200):
+        kind = ansatz.ANSATZE[rng.integers(5)]
+        m = ansatz.param_count(kind)
+        argv = ["scan-landscape", "--ansatz", kind, "--scan",
+                *(str(i) for i in rng.integers(-1, m + 2, size=2)),
+                "--grid", str(rng.integers(-1, 4)), "--out", str(tmp_path / "scan")]
+        for _ in range(rng.integers(4)):
+            fix = f"{rng.integers(-1, m + 2)}={values[rng.integers(len(values))]}"
+            argv += ["--fix", fix if rng.random() < 0.9 else fix.split("=")[0]]
+        if rng.random() < 0.2:
+            argv += ["--clip", *(values[rng.integers(6)] for _ in range(2))]
+        assert _exit_code(argv) in (0, 2), argv
+
+    bad_values = [None, "1", True, [], {}, [1.0], float("nan"), float("inf"), -float("inf"),
+                  1e308, -1e308]
+    nu = [-0.71, 0.018, -0.018, 0.01, 0.3, 0.3]
+    path = tmp_path / "ham.json"
+    for _ in range(200):
+        doc = {"nu": list(nu), "label": "mutated"}
+        for _ in range(rng.integers(1, 4)):
+            op = rng.integers(6)
+            target = doc.get("nu") if isinstance(doc, dict) else None
+            if op == 0 and isinstance(target, list) and target:
+                target[rng.integers(len(target))] = bad_values[rng.integers(len(bad_values))]
+            elif op == 1 and isinstance(target, list):
+                doc["nu"] = target[:rng.integers(len(target) + 1)] + [0.1] * rng.integers(3)
+            elif op == 2:
+                doc = [doc] if rng.random() < 0.5 else {"hamiltonian": doc}
+            elif op == 3 and isinstance(doc, dict):
+                doc["nu"] = bad_values[rng.integers(len(bad_values))]
+            elif op == 4 and isinstance(doc, dict):
+                doc["label"] = bad_values[rng.integers(len(bad_values))]
+            elif op == 5:
+                doc = bad_values[rng.integers(len(bad_values))]
+        text = json.dumps(doc)
+        path.write_text(text[:rng.integers(len(text) + 1)] if rng.random() < 0.1 else text)
+        argv = ["run-vqe", "--ansatz", "hea", "--hamiltonian", str(path), "--trials", "1",
+                "--steps", "2", "--out", str(tmp_path / "vqe")]
+        assert _exit_code(argv) in (0, 2), text

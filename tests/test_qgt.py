@@ -153,3 +153,23 @@ def test_invert_metric_result_symmetric():
         for policy in (qgt.PseudoInverse(), qgt.Tikhonov(epsilon=1e-4)):
             inv = qgt.invert_metric(g, policy)
             assert np.abs(inv - inv.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_batched_qgt_metric_and_gradient_match_per_row_calls(kind):
+    from pqcgeo import vqe
+
+    rng = np.random.default_rng(RNG_SEED + 10)
+    m = ansatz.param_count(kind)
+    thetas = rng.uniform(0, 2 * np.pi, (7, 3, m))
+    flat = thetas.reshape(-1, m)
+    ham = vqe.load_bundled("entangled")
+    cases = [(lambda t: qgt.qgt_full(kind, t), (m, m)),
+             (lambda t: vqe.energy_gradient(kind, t, ham), (m,))]
+    cases += [(lambda t, mode=mode: qgt.fs_metric(kind, t, mode), (m, m))
+              for mode in qgt.METRIC_MODES]
+    for fn, shape in cases:
+        batched = fn(thetas)
+        assert batched.shape == (7, 3) + shape
+        per_row = np.array([fn(t) for t in flat]).reshape(batched.shape)
+        np.testing.assert_allclose(batched, per_row, rtol=0, atol=1e-15)

@@ -131,3 +131,10 @@ def test_hamiltonian_rejects_bad_nu(tmp_path):
             vqe.Hamiltonian.from_dict({"nu": [bad, 0, 0, 0, 0, 0]})
     with pytest.raises(ValueError, match="exactly 6"):
         vqe.Hamiltonian.from_dict([1, 0, 0, 0, 0, 0])
+
+
+def test_hamiltonian_rejects_overflowing_matrix():
+    # each coefficient is finite, but the diagonal or off-diagonal sums overflow to inf
+    for nu in ((1e308, 1e308, 0, 0, 0, 0), (0, 0, 0, 0, 1e308, -1e308)):
+        with pytest.raises(ValueError, match="overflows"):
+            vqe.Hamiltonian(nu=nu)
