@@ -7,7 +7,7 @@ negative curvature early converge fast; the original qgan block cannot enter
 that region at all, and appending four local rotations fixes it even though
 local gates cannot change concurrence at fixed core parameters.
 
-Run:  python demos/06_vqe_qng_vs_gd.py        (about 5 s)
+Run:  python demos/06_vqe_qng_vs_gd.py        (about 2 s)
 """
 import math
 

@@ -51,12 +51,7 @@ class InconsistentStateError(ValueError):
 
 def concurrence(state) -> np.ndarray | float:
     """C = 2 |a d - b g|; 0 for product states, 1 for maximally entangled ones."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape[-1] != 4:
-        raise ValueError("expected amplitude vectors of length 4")
-    n = np.linalg.norm(state, axis=-1)
-    if np.any(np.abs(n - 1.0) > 1e-8):
-        raise ValueError("state is not normalized")
+    state = require_normalized(state)
     c = 2.0 * np.abs(state[..., 0] * state[..., 3] - state[..., 1] * state[..., 2])
     c = np.clip(c, 0.0, 1.0)
     return float(c) if np.ndim(c) == 0 else c

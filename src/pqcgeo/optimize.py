@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ansatz, qgt
 from .geometry import concurrence, ricci_closed
-from .vqe import GroundTruth, Hamiltonian, energy, exact_ground, gradient_from_state
+from .vqe import Hamiltonian, energy, exact_ground, gradient_from_state
 
 GD = "gd"
 QNG = "qng"
@@ -57,82 +57,81 @@ class TraceRecord:
 
 
 def step_gd(theta: np.ndarray, grad: np.ndarray, config: OptConfig) -> np.ndarray:
-    if len(grad) != len(theta):
-        raise ValueError("gradient length does not match parameter length")
-    return np.asarray(theta, float) - config.learning_rate * np.asarray(grad, float)
+    """theta - eta * grad on (..., m) parameters."""
+    theta, grad = np.asarray(theta, float), np.asarray(grad, float)
+    if grad.shape != theta.shape:
+        raise ValueError("gradient shape does not match parameter shape")
+    return theta - config.learning_rate * grad
 
 
 def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
-             config: OptConfig) -> np.ndarray:
-    """theta - eta * g^+ grad with the configured regularized inverse.
+             config: OptConfig) -> tuple[np.ndarray, np.ndarray]:
+    """theta - eta * g^+ grad on (..., m) parameters with the configured
+    regularized inverse of the (..., m, m) metric.
 
-    Raises qgt.DegenerateMetricError when the metric has no usable spectrum;
-    run_optimization falls back to a plain gradient step and flags the record.
+    Returns the new parameters and a (...) boolean fallback mask: rows whose
+    metric has no usable spectrum (a zero inverse) take a plain gradient step.
     """
-    if metric.shape != (len(theta), len(theta)) or len(grad) != len(theta):
+    theta, grad = np.asarray(theta, float), np.asarray(grad, float)
+    if grad.shape != theta.shape or np.shape(metric) != theta.shape + theta.shape[-1:]:
         raise ValueError("dimension mismatch between theta, grad, and metric")
     ginv = qgt.invert_metric(metric, config.inversion)
-    return np.asarray(theta, float) - config.learning_rate * (ginv @ np.asarray(grad, float))
+    fallback = ~ginv.any(axis=(-2, -1))
+    direction = np.where(fallback[..., None], grad, (ginv @ grad[..., None])[..., 0])
+    return theta - config.learning_rate * direction, fallback
 
 
-def instrument(psi: np.ndarray, theta: np.ndarray, step: int, hamiltonian: Hamiltonian,
-               ground: GroundTruth, grad: np.ndarray, fallback: bool) -> TraceRecord:
-    """The trace record of one step, from the state psi prepared at theta."""
-    e = energy(hamiltonian, psi)
-    if not np.isfinite(e):
-        raise RuntimeError(f"non-finite energy {e!r} at step {step}")
-    c = concurrence(psi)
-    return TraceRecord(
-        step=step,
-        theta=np.array(theta, dtype=float),
-        energy=e,
-        energy_error=e - ground.energy,
-        concurrence=c,
-        ricci=float(ricci_closed(min(c, RICCI_CLAMP))),
-        grad_norm=float(np.linalg.norm(grad)),
-        qng_fallback=fallback,
-    )
+def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
+               config: OptConfig) -> list[list[TraceRecord]]:
+    """Advance a (B, m) stack of starting points in lock step; one trace per row.
 
-
-def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0, config: OptConfig,
-                     ground: GroundTruth | None = None) -> list[TraceRecord]:
-    """Iterate until |E_t - E_{t-1}| < tol or max_steps; returns the full trace.
-
-    The trace always includes the initial point (step 0). Deterministic for a
-    given (theta0, config). Each step evaluates the ansatz once; energy,
-    gradient, concurrence and the QNG metric all derive from that (psi, J).
+    Each step evaluates the ansatz once for the rows still running and derives
+    energy, gradient, concurrence and the QNG metric from that (psi, J). A row
+    stops after the step where |E_t - E_{t-1}| < tol, or at max_steps.
     """
-    kind = ansatz.resolve_kind(kind)
-    theta = np.array(theta0, dtype=float)
-    if theta.shape != (ansatz.param_count(kind),):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({ansatz.param_count(kind)},)")
-    if ground is None:
-        ground = exact_ground(hamiltonian)
+    ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
-    records: list[TraceRecord] = []
-    e_prev = None
-    fallback = False
+    traces: list[list[TraceRecord]] = [[] for _ in theta]
+    active = np.arange(len(theta))
+    e_prev = np.full(len(theta), np.nan)  # no energy change is below tol at step 0
+    fallback = np.zeros(len(theta), dtype=bool)
     for step in range(config.max_steps + 1):
         psi, jac = ansatz.state_and_jacobian(kind, theta)
         grad = gradient_from_state(hamiltonian, psi, jac)
-        rec = instrument(psi, theta, step, hamiltonian, ground, grad, fallback)
-        records.append(rec)
-        if e_prev is not None and abs(rec.energy - e_prev) < config.tol:
+        e = energy(hamiltonian, psi)
+        if not np.all(np.isfinite(e)):
+            raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)][0]!r} at step {step}")
+        c = concurrence(psi)
+        columns = zip(active.tolist(), theta, e.tolist(), (e - ground.energy).tolist(),
+                      c.tolist(), ricci_closed(np.minimum(c, RICCI_CLAMP)).tolist(),
+                      np.sqrt(np.vecdot(grad, grad)).tolist(), fallback.tolist())
+        for k, th, *values in columns:
+            traces[k].append(TraceRecord(step, th.copy(), *values))
+        running = ~(np.abs(e - e_prev) < config.tol)
+        if step == config.max_steps or not running.any():
             break
-        if step == config.max_steps:
-            break
-        e_prev = rec.energy
-        fallback = False
         if config.optimizer == GD:
-            theta = step_gd(theta, grad, config)
+            new = step_gd(theta, grad, config)
         else:
-            metric = qgt.fs_metric_from_state(psi, jac, mask)
-            try:
-                theta = step_qng(theta, grad, metric, config)
-            except qgt.DegenerateMetricError:
-                theta = step_gd(theta, grad, config)
-                fallback = True
-    return records
+            new, fallback = step_qng(theta, grad, qgt.fs_metric_from_state(psi, jac, mask),
+                                     config)
+        active, theta, e_prev, fallback = (active[running], new[running], e[running],
+                                           fallback[running])
+    return traces
+
+
+def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0,
+                     config: OptConfig) -> list[TraceRecord]:
+    """Iterate until |E_t - E_{t-1}| < tol or max_steps; returns the full trace.
+
+    The trace always includes the initial point (step 0). Deterministic for a
+    given (theta0, config), and the same trace, bit for bit, as this starting
+    point gets as one row of run_trials.
+    """
+    theta = np.array(theta0, dtype=float)
+    if theta.shape != (ansatz.param_count(kind),):
+        raise ValueError(f"theta0 has shape {theta.shape}, expected ({ansatz.param_count(kind)},)")
+    return _run_batch(kind, hamiltonian, theta[None], config)[0]
 
 
 def initial_parameters(kind: str, config: OptConfig, trial: int) -> np.ndarray:
@@ -144,16 +143,12 @@ def initial_parameters(kind: str, config: OptConfig, trial: int) -> np.ndarray:
 
 def run_trials(kind: str, hamiltonian: Hamiltonian, config: OptConfig,
                n_trials: int) -> list[list[TraceRecord]]:
-    """Independent trials with per-trial derived seeds. A failing trial aborts
-    the whole batch rather than being dropped silently."""
+    """Independent trials with per-trial derived seeds, advanced together in lock
+    step. A failing trial aborts the whole batch rather than being dropped silently."""
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    ground = exact_ground(hamiltonian)
-    traces = []
-    for k in range(n_trials):
-        theta0 = initial_parameters(kind, config, k)
-        traces.append(run_optimization(kind, hamiltonian, theta0, config, ground=ground))
-    return traces
+    theta0 = np.array([initial_parameters(kind, config, k) for k in range(n_trials)])
+    return _run_batch(kind, hamiltonian, theta0, config)
 
 
 def steps_to_threshold(trace: list[TraceRecord], threshold: float = 1e-3) -> int | None:

@@ -28,10 +28,6 @@ _MODE_ALIASES = {
 METRIC_MODES = (DENSE, BLOCK, DIAG)
 
 
-class DegenerateMetricError(RuntimeError):
-    """Every metric eigenvalue fell below the inversion threshold."""
-
-
 @dataclass(frozen=True)
 class PseudoInverse:
     """Spectral pseudo-inverse keeping eigenvalues above rcond * lambda_max."""
@@ -105,26 +101,24 @@ def fs_metric(kind: str, theta, mode: str = DENSE) -> np.ndarray:
 
 
 def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> np.ndarray:
-    """Regularized inverse of a symmetric metric.
+    """Regularized inverse of symmetric (..., m, m) metrics.
 
     PseudoInverse: eigendecompose, invert eigenvalues above rcond * lambda_max,
-    zero the rest; raises DegenerateMetricError when nothing survives.
-    Tikhonov: plain (g + epsilon I)^-1.
+    zero the rest; a metric with no eigenvalue above the cutoff gets the zero
+    matrix as its inverse. Tikhonov: plain (g + epsilon I)^-1.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("metric must be a square matrix")
-    if np.abs(g - g.T).max() > 1e-10:
+    g_t = g.swapaxes(-1, -2)
+    if np.abs(g - g_t).max() > 1e-10:
         raise ValueError("metric must be symmetric")
-    g = 0.5 * (g + g.T)
+    g = 0.5 * (g + g_t)
     if isinstance(policy, Tikhonov):
-        inv = np.linalg.inv(g + policy.epsilon * np.eye(g.shape[0]))
-        return 0.5 * (inv + inv.T)
-    w, v = np.linalg.eigh(g)
-    thresh = policy.rcond * np.abs(w).max() if np.abs(w).max() > 0 else np.inf
-    keep = w > thresh
-    if not np.any(keep):
-        raise DegenerateMetricError("all metric eigenvalues below the pseudo-inverse threshold")
-    winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-    inv = (v * winv) @ v.T
-    return 0.5 * (inv + inv.T)
+        inv = np.linalg.inv(g + policy.epsilon * np.eye(g.shape[-1]))
+    else:
+        w, v = np.linalg.eigh(g)
+        keep = w > policy.rcond * np.abs(w).max(axis=-1, keepdims=True)
+        winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+        inv = (v * winv[..., None, :]) @ v.swapaxes(-1, -2)
+    return 0.5 * (inv + inv.swapaxes(-1, -2))

@@ -38,12 +38,14 @@ def basis_state(label: str) -> np.ndarray:
 
 
 def require_normalized(state: np.ndarray, atol: float = NORM_ATOL) -> np.ndarray:
+    """The state as a complex array; raises ValueError unless it is a (..., 4)
+    stack of amplitude vectors, each of unit norm within atol."""
     state = np.asarray(state, dtype=complex)
-    if state.shape != (4,):
-        raise ValueError(f"expected a length-4 amplitude vector, got shape {state.shape}")
-    n = np.linalg.norm(state)
-    if abs(n - 1.0) > atol:
-        raise ValueError(f"state is not normalized: ||psi|| = {n!r}")
+    if state.ndim == 0 or state.shape[-1] != 4:
+        raise ValueError(f"expected length-4 amplitude vectors, got shape {state.shape}")
+    deviation = np.abs(np.sqrt(np.vecdot(state, state).real) - 1.0)
+    if (deviation > atol).any():
+        raise ValueError(f"state is not normalized: ||psi|| is {deviation.max()!r} away from 1")
     return state
 
 
@@ -117,7 +119,7 @@ def gate_unitary(gate: GateSpec) -> np.ndarray:
 
 
 def apply_gate(state: np.ndarray, gate: GateSpec) -> np.ndarray:
-    return gate_unitary(gate) @ require_normalized(state)
+    return (gate_unitary(gate) @ require_normalized(state)[..., None])[..., 0]
 
 
 def parse_pauli_label(label: str) -> np.ndarray:
@@ -151,18 +153,22 @@ class PauliObservable:
         return m
 
 
-def expectation(state: np.ndarray, obs: PauliObservable | np.ndarray) -> float:
-    """<psi|O|psi> for a normalized state; the imaginary residue must be < 1e-12."""
+def expectation(state: np.ndarray, obs: PauliObservable | np.ndarray) -> np.ndarray | float:
+    """<psi|O|psi> for normalized (..., 4) states.
+
+    The imaginary residue of a Hermitian O is round-off that grows with the
+    size of O, so it must stay below 1e-12 * max(1, ||O||_F).
+    """
     state = require_normalized(state)
     m = obs.matrix() if isinstance(obs, PauliObservable) else np.asarray(obs, dtype=complex)
-    val = complex(np.vdot(state, m @ state))
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag!r}")
-    return float(val.real)
+    val = np.vecdot(state, (m @ state[..., None])[..., 0])
+    residue = np.abs(val.imag).max()
+    if residue > 1e-12 and residue > 1e-12 * np.linalg.norm(m):
+        raise ValueError(f"expectation has non-negligible imaginary part {residue!r}")
+    return float(val.real) if val.ndim == 0 else val.real
 
 
-def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> float:
+def fidelity_up_to_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """|<a|b>| in [0, 1]; equals 1 iff the states differ only by a global phase."""
-    a = require_normalized(a)
-    b = require_normalized(b)
-    return float(min(1.0, abs(np.vdot(a, b))))
+    f = np.minimum(1.0, np.abs(np.vecdot(require_normalized(a), require_normalized(b))))
+    return float(f) if f.ndim == 0 else f

@@ -26,6 +26,13 @@ from .simulator import PauliObservable, expectation, require_normalized
 
 HAMILTONIAN_TERMS = ("I", "Z1", "Z2", "Z1Z2", "X1X2", "Y1Y2")
 
+# Every number a run derives from H is at most 2 * sum|nu| <= 12 * max|nu| in
+# size: the eigenvalues and their spread, energies and energy errors, and the
+# gradient entries 2 Re<d_j psi|H|psi> (each |d_j psi| <= 1). The gradient norm
+# and the summary std add up squares of such numbers; this bound on max|nu|
+# keeps sums of up to 2**24 of those squares finite.
+NU_MAX = float(np.sqrt(np.finfo(float).max / 2.0**32))
+
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -40,10 +47,11 @@ class Hamiltonian:
             raise ValueError("Hamiltonian coefficients must be real numbers")
         if not all(np.isfinite(v) for v in self.nu):
             raise ValueError("Hamiltonian coefficients must be finite")
+        if max(abs(v) for v in self.nu) > NU_MAX:
+            raise ValueError(f"Hamiltonian coefficients too large: above {NU_MAX:.3g} a run "
+                             "overflows its energies, gradients or summary statistics")
         object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
         matrix = self.observable().matrix()
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("Hamiltonian coefficients too large: the matrix overflows")
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 
@@ -88,8 +96,8 @@ def bundled_path(name: str) -> Path:
     return Path(str(resources.files("pqcgeo").joinpath("data", _BUNDLED[name])))
 
 
-def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> float:
-    """<psi|H|psi> for a normalized state."""
+def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> np.ndarray | float:
+    """<psi|H|psi> for normalized (..., 4) states."""
     return expectation(state, hamiltonian.matrix())
 
 

@@ -46,7 +46,7 @@ def test_step_qng_identity_metric_equals_gd():
     cfg = _cfg()
     for _ in range(100):
         theta, grad = rng.normal(size=5), rng.normal(size=5)
-        assert np.abs(step_qng(theta, grad, np.eye(5), cfg)
+        assert np.abs(step_qng(theta, grad, np.eye(5), cfg)[0]
                       - step_gd(theta, grad, cfg)).max() < 1e-14
 
 
@@ -54,14 +54,14 @@ def test_step_qng_scaled_metric_halves_step():
     cfg = _cfg()
     theta, grad = np.zeros(3), np.ones(3)
     gd = step_gd(theta, grad, cfg)
-    qng = step_qng(theta, grad, 2.0 * np.eye(3), cfg)
+    qng, _ = step_qng(theta, grad, 2.0 * np.eye(3), cfg)
     assert np.abs(qng - gd / 2.0).max() < 1e-14
 
 
 def test_step_qng_pseudo_inverse_projects_out_null_direction():
     cfg = _cfg(learning_rate=0.05)
     theta = np.array([0.4, 0.7])
-    out = step_qng(theta, np.array([4.0, 4.0]), np.diag([4.0, 0.0]), cfg)
+    out, _ = step_qng(theta, np.array([4.0, 4.0]), np.diag([4.0, 0.0]), cfg)
     assert np.abs(out - (theta - np.array([0.05, 0.0]))).max() < 1e-14
 
 
@@ -72,7 +72,7 @@ def test_monotone_descent_on_quadratic_for_both_steppers():
         prev = float(theta @ theta) / 2
         for _ in range(50):
             theta = step_gd(theta, theta, cfg) if metric is None \
-                else step_qng(theta, theta, metric, cfg)
+                else step_qng(theta, theta, metric, cfg)[0]
             val = float(theta @ theta) / 2
             assert val <= prev + 1e-15
             prev = val
@@ -129,7 +129,8 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
     h = vqe.load_bundled("entangled")
     theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     gd_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=30))
-    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.eye(jac.shape[1]))
+    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.broadcast_to(
+        np.eye(jac.shape[-1]), jac.shape[:-2] + (jac.shape[-1], jac.shape[-1])))
     qng_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=30))
     assert len(gd_trace) == len(qng_trace)
     for a, b in zip(gd_trace, qng_trace):
@@ -139,7 +140,8 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
 def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
     h = vqe.load_bundled("entangled")
     theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
-    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.zeros((5, 5)))
+    monkeypatch.setattr(qgt, "fs_metric_from_state",
+                        lambda psi, jac, mask: np.zeros(jac.shape[:-2] + (5, 5)))
     trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=5))
     assert any(rec.qng_fallback for rec in trace[1:])
     gd_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=5))
@@ -166,10 +168,31 @@ def test_dimension_mismatch_rejected():
         run_optimization("hea", vqe.load_bundled("entangled"), np.zeros(5), cfg)
 
 
+class _DegenerateMetric(RuntimeError):
+    pass
+
+
+def _reference_step_qng(theta, grad, metric, cfg):
+    """step_qng and invert_metric as they were for one (m,) vector: the
+    pseudo-inverse raises when it keeps no eigenvalue."""
+    g = 0.5 * (metric + metric.T)
+    if isinstance(cfg.inversion, qgt.Tikhonov):
+        inv = np.linalg.inv(g + cfg.inversion.epsilon * np.eye(g.shape[0]))
+    else:
+        w, v = np.linalg.eigh(g)
+        thresh = cfg.inversion.rcond * np.abs(w).max() if np.abs(w).max() > 0 else np.inf
+        keep = w > thresh
+        if not np.any(keep):
+            raise _DegenerateMetric
+        inv = (v * np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)) @ v.T
+    return theta - cfg.learning_rate * (0.5 * (inv + inv.T) @ grad)
+
+
 def _reference_trace(kind, h, theta0, cfg):
-    """The loop as it was before one evaluation per step: the gradient from
-    state_jacobian and prepare_state, the energy and concurrence from a second
-    prepare_state, and the QNG metric from fs_metric's own evaluation."""
+    """The per-trial loop as it was before one evaluation per step: the gradient
+    from state_jacobian and prepare_state, the energy and concurrence from a
+    second prepare_state, the QNG metric from fs_metric's own evaluation, and the
+    GD fallback caught from a degenerate-metric exception."""
     ground = vqe.exact_ground(h)
     theta = np.array(theta0, dtype=float)
     rows, e_prev, fallback = [], None, False
@@ -187,31 +210,69 @@ def _reference_trace(kind, h, theta0, cfg):
             break
         e_prev, fallback = e, False
         if cfg.optimizer == "gd":
-            theta = step_gd(theta, grad, cfg)
+            theta = theta - cfg.learning_rate * grad
             continue
         try:
-            theta = step_qng(theta, grad, qgt.fs_metric(kind, theta, cfg.metric_mode), cfg)
-        except qgt.DegenerateMetricError:
-            theta, fallback = step_gd(theta, grad, cfg), True
+            theta = _reference_step_qng(theta, grad, qgt.fs_metric(kind, theta, cfg.metric_mode),
+                                        cfg)
+        except _DegenerateMetric:
+            theta, fallback = theta - cfg.learning_rate * grad, True
     return rows
+
+
+def _engine_configs(**base):
+    """GD, QNG under each metric mode, Tikhonov, and a cutoff (rcond 2) that
+    keeps no eigenvalue, so that every QNG update falls back to GD."""
+    return [_cfg(optimizer="gd", **base)] + [
+        _cfg(optimizer="qng", metric_mode=mode, **base) for mode in qgt.METRIC_MODES
+    ] + [_cfg(optimizer="qng", inversion=qgt.Tikhonov(), **base),
+         _cfg(optimizer="qng", inversion=qgt.PseudoInverse(rcond=2.0), **base)]
+
+
+def _fields(rec):
+    return (rec.step, rec.energy, rec.energy_error, rec.concurrence, rec.ricci, rec.grad_norm,
+            rec.qng_fallback)
 
 
 @pytest.mark.parametrize("kind", ansatz.ANSATZE)
 def test_single_evaluation_loop_matches_reference_bit_for_bit(kind):
     h = vqe.load_bundled("entangled")
-    base = dict(max_steps=30, tol=1e-9, seed=4)
-    configs = [_cfg(optimizer="gd", **base)] + [
-        _cfg(optimizer="qng", metric_mode=mode, **base) for mode in qgt.METRIC_MODES
-    ] + [_cfg(optimizer="qng", inversion=qgt.Tikhonov(), **base)]
-    for cfg in configs:
+    for cfg in _engine_configs(max_steps=30, tol=1e-9, seed=4):
         for trial in range(2):
             theta0 = optimize.initial_parameters(kind, cfg, trial)
-            got = [(r.step, r.theta, r.energy, r.energy_error, r.concurrence, r.ricci,
-                    r.grad_norm, r.qng_fallback) for r in run_optimization(kind, h, theta0, cfg)]
+            got = run_optimization(kind, h, theta0, cfg)
             want = _reference_trace(kind, h, theta0, cfg)
             assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a[1], b[1]) and a[:1] + a[2:] == b[:1] + b[2:]
+            for rec, (step, theta, e, err, c, ricci, gnorm, fallback) in zip(got, want):
+                assert (rec.step, rec.qng_fallback) == (step, fallback)
+                if kind not in (ansatz.LDCA, ansatz.SHEA):
+                    assert np.array_equal(rec.theta, theta)
+                    assert _fields(rec) == (step, e, err, c, ricci, gnorm, fallback)
+                    continue
+                # the ldca and shea maps multiply complex by complex, which numpy
+                # rounds differently for the (m,) parameters of the old loop and
+                # the (1, m) stack of the engine: last-bit differences only
+                assert np.abs(rec.theta - theta).max() <= 1e-9
+                assert max(abs(rec.energy - e), abs(rec.energy_error - err),
+                           abs(rec.concurrence - c), abs(rec.grad_norm - gnorm)) <= 1e-9
+                assert rec.ricci == geometry.ricci_closed(
+                    min(rec.concurrence, optimize.RICCI_CLAMP))
+
+
+@pytest.mark.parametrize("kind", ansatz.ANSATZE)
+def test_run_trials_rows_match_one_trial_runs_bit_for_bit(kind):
+    h = vqe.load_bundled("entangled")
+    stop_steps = set()
+    for cfg in _engine_configs(max_steps=40, tol=1e-3, seed=6):
+        traces = optimize.run_trials(kind, h, cfg, 7)
+        assert len(traces) == 7
+        for k, trace in enumerate(traces):
+            single = run_optimization(kind, h, optimize.initial_parameters(kind, cfg, k), cfg)
+            assert len(trace) == len(single)
+            for a, b in zip(trace, single):
+                assert np.array_equal(a.theta, b.theta) and _fields(a) == _fields(b)
+            stop_steps.add(len(trace))
+    assert len(stop_steps) > 1  # rows of one batch stop at different steps
 
 
 def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
@@ -236,4 +297,10 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
         trace = run_optimization("qgan-aug", h, optimize.initial_parameters("qgan-aug", cfg, 0),
                                  cfg)
         assert calls["state_and_jacobian"] == len(trace) == 21
+        # a batch evaluates the ansatz once per step for all of its rows
+        calls.update(state_and_jacobian=0)
+        traces = optimize.run_trials("ldca", h, _cfg(optimizer=optimizer, max_steps=40,
+                                                     tol=1e-3, seed=6), 7)
+        assert calls["state_and_jacobian"] == max(len(t) for t in traces)
+        assert min(len(t) for t in traces) < max(len(t) for t in traces)
     assert calls["other_maps"] == 0 and calls["matrix"] == 0

@@ -133,8 +133,26 @@ def test_hamiltonian_rejects_bad_nu(tmp_path):
         vqe.Hamiltonian.from_dict([1, 0, 0, 0, 0, 0])
 
 
+def test_runs_at_the_coefficient_bound_stay_finite():
+    # the largest accepted coefficients: energies, errors, gradients, theta and the
+    # summary statistics stay finite, with overflow warnings raised as errors
+    from pqcgeo import harness, optimize
+    for sign in (1.0, -1.0):
+        h = vqe.Hamiltonian(nu=tuple(sign * s * vqe.NU_MAX for s in (1, -1, 1, -1, 1, 1)))
+        for kind in ANSATZE:
+            cfg = optimize.OptConfig(optimizer="qng", max_steps=3)
+            traces = optimize.run_trials(kind, h, cfg, 50)
+            assert np.all(np.isfinite([[r.energy_error, r.grad_norm, *r.theta]
+                                       for t in traces for r in t]))
+            assert np.all(np.isfinite(harness.summarize(traces, cfg)["energy_error_std"]))
+    with pytest.raises(ValueError, match="overflows"):
+        vqe.Hamiltonian(nu=(0, 0, 0, 0, 0, 1.01 * vqe.NU_MAX))
+
+
 def test_hamiltonian_rejects_overflowing_matrix():
-    # each coefficient is finite, but the diagonal or off-diagonal sums overflow to inf
-    for nu in ((1e308, 1e308, 0, 0, 0, 0), (0, 0, 0, 0, 1e308, -1e308)):
+    # each coefficient is finite, but the diagonal or off-diagonal sums overflow to
+    # inf, or the matrix stays finite and a run's energy errors and gradients do not
+    for nu in ((1e308, 1e308, 0, 0, 0, 0), (0, 0, 0, 0, 1e308, -1e308),
+               (-0.71, 0.018, -0.018, 0.01, 0.3, 1e308)):
         with pytest.raises(ValueError, match="overflows"):
             vqe.Hamiltonian(nu=nu)
