@@ -83,12 +83,8 @@ def base_coordinates(state) -> np.ndarray:
     a, b, g, d = (state[..., k] for k in range(4))
     s = np.conj(a) * g + np.conj(b) * d
     t = a * d - b * g
-    x = np.stack(
-        [np.abs(a) ** 2 + np.abs(b) ** 2 - np.abs(g) ** 2 - np.abs(d) ** 2,
-         2.0 * s.real, -2.0 * t.imag, 2.0 * t.real, 2.0 * s.imag],
-        axis=-1,
-    )
-    return x
+    return np.stack([np.abs(a) ** 2 + np.abs(b) ** 2 - np.abs(g) ** 2 - np.abs(d) ** 2,
+                     2.0 * s.real, -2.0 * t.imag, 2.0 * t.real, 2.0 * s.imag], axis=-1)
 
 
 def _safe_arccos(v: float) -> float:
@@ -105,6 +101,8 @@ def hopf_base(state) -> HopfBase:
     are reported as tagged singular outcomes, never silently defaulted.
     """
     state = require_normalized(state)
+    if state.shape != (4,):
+        raise ValueError(f"expected one state of shape (4,), got shape {state.shape}")
     x = base_coordinates(state)
     theta_a = _safe_arccos(x[0])
     sin_ta = np.sqrt(max(0.0, 1.0 - x[0] ** 2))
@@ -129,49 +127,49 @@ def hopf_base(state) -> HopfBase:
 
 
 # ---------------------------------------------------------------------------
-# fiber quaternions
+# fiber quaternions: components (1, i, j, k) on the last axis of (..., 4) stacks
 # ---------------------------------------------------------------------------
 
 def quat(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
-    return np.array([w, x, y, z], dtype=float)
+    return np.stack(np.broadcast_arrays(w, x, y, z), axis=-1).astype(float)
 
 
-def quat_from_complex_pair(z: complex, w: complex) -> np.ndarray:
-    """z + w j as components (1, i, j, k)."""
-    return np.array([z.real, z.imag, w.real, w.imag])
+def quat_from_complex_pair(z, w) -> np.ndarray:
+    """z + w j; broadcasts over z and w."""
+    return np.stack([z.real, z.imag, w.real, w.imag], axis=-1)
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
+    w1, x1, y1, z1 = (a[..., k] for k in range(4))
+    w2, x2, y2, z2 = (b[..., k] for k in range(4))
+    return np.stack(
         [w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
          w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
          w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2]
-    )
+         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2], axis=-1)
 
 
 def quat_conj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
+    return a * np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def quat_norm2(a: np.ndarray) -> float:
-    return float(np.dot(a, a))
+def quat_norm2(a: np.ndarray) -> np.ndarray | float:
+    n = np.vecdot(a, a)
+    return float(n) if np.ndim(n) == 0 else n
 
 
 @dataclass(frozen=True)
 class FiberQuaternion:
     q_plus: np.ndarray
     q_minus: np.ndarray
-    z: complex
-    w: complex
-    gamma_plus: float
-    gamma_minus: float
+    z: complex | np.ndarray
+    w: complex | np.ndarray
+    gamma_plus: float | np.ndarray
+    gamma_minus: float | np.ndarray
 
 
 def hopf_fiber(state, convention: str = FRAME_ORTHONORMAL) -> FiberQuaternion:
-    """Fiber quaternions q+- of a normalized state.
+    """Fiber quaternions q+- of a normalized state or a (..., 4) stack of them.
 
     Both conventions build the chart spinors
         c+ = (gamma_plus, gamma_minus u) / sqrt(2)
@@ -192,28 +190,27 @@ def hopf_fiber(state, convention: str = FRAME_ORTHONORMAL) -> FiberQuaternion:
         raise ValueError(f"unknown fiber convention {convention!r}")
     state = require_normalized(state)
     x = base_coordinates(state)
-    z = complex(0.5 * (x[1] + 1j * x[4]))
-    w = complex(0.5 * (x[3] - 1j * x[2]))
-    r2 = abs(z) ** 2 + abs(w) ** 2
-    if r2 > 1.0 + 1e-9:
-        raise InconsistentStateError(f"|z|^2 + |w|^2 = {r2!r} exceeds 1")
-    disc = np.sqrt(max(0.0, 1.0 - r2))
-    gamma_p = float(np.sqrt(1.0 + disc))
-    gamma_m = float(np.sqrt(max(0.0, 1.0 - disc)))
-    if r2 < 1e-24:
-        u = quat(1.0)
-    else:
-        u = quat_from_complex_pair(z, w) / np.sqrt(r2)
-    psi_h = (quat_from_complex_pair(complex(state[0]), complex(state[1])),
-             quat_from_complex_pair(complex(state[2]), complex(state[3])))
+    z = 0.5 * (x[..., 1] + 1j * x[..., 4])
+    w = 0.5 * (x[..., 3] - 1j * x[..., 2])
+    # hypot and libm pow give the bits of Python's abs(z) ** 2, per state
+    r2 = np.float_power(np.hypot(z.real, z.imag), 2) + np.float_power(np.hypot(w.real, w.imag), 2)
+    if np.any(r2 > 1.0 + 1e-9):
+        raise InconsistentStateError(f"|z|^2 + |w|^2 = {r2.max()!r} exceeds 1")
+    disc = np.sqrt(np.maximum(0.0, 1.0 - r2))
+    gamma_p = np.sqrt(1.0 + disc)
+    gamma_m = np.sqrt(np.maximum(0.0, 1.0 - disc))
+    u = quat_from_complex_pair(z, w) / np.sqrt(np.maximum(r2, 1e-24))[..., None]
+    u[r2 < 1e-24] = quat(1.0)
+    psi_h = (quat_from_complex_pair(state[..., 0], state[..., 1]),
+             quat_from_complex_pair(state[..., 2], state[..., 3]))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    c_plus = (quat(gamma_p) * inv_sqrt2, gamma_m * u * inv_sqrt2)
+    c_plus = (quat(gamma_p) * inv_sqrt2, gamma_m[..., None] * u * inv_sqrt2)
     first = -gamma_m if convention == FRAME_ORTHONORMAL else gamma_m
-    c_minus = (quat(first) * inv_sqrt2, gamma_p * u * inv_sqrt2)
+    c_minus = (quat(first) * inv_sqrt2, gamma_p[..., None] * u * inv_sqrt2)
     q_plus = quat_mul(quat_conj(c_plus[0]), psi_h[0]) + quat_mul(quat_conj(c_plus[1]), psi_h[1])
     q_minus = quat_mul(quat_conj(c_minus[0]), psi_h[0]) + quat_mul(quat_conj(c_minus[1]), psi_h[1])
-    return FiberQuaternion(q_plus=q_plus, q_minus=q_minus, z=z, w=w,
-                           gamma_plus=gamma_p, gamma_minus=gamma_m)
+    return FiberQuaternion(q_plus=q_plus, q_minus=q_minus, z=z[()], w=w[()],
+                           gamma_plus=gamma_p[()], gamma_minus=gamma_m[()])
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,11 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
 
 
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
-    lines = [",".join(_fmt(v) if isinstance(v, float) or np.issubdtype(type(v), np.floating)
-                      else str(int(v)) for v in row) for row in grid]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one formatter per grid, and one row of Python objects alive at a time
+    fmt = repr if np.issubdtype(grid.dtype, np.floating) else str
+    with path.open("w", encoding="utf-8") as fh:
+        for row in grid:
+            fh.write(",".join(map(fmt, row.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +224,10 @@ def _suite_hopf(rng: np.random.Generator) -> tuple[bool, str]:
     x = geometry.base_coordinates(v)
     worst_embed = float(np.abs(np.sum(x * x, axis=-1) - 1.0).max())
     worst_conc = float(np.abs(np.hypot(x[:, 2], x[:, 3]) - geometry.concurrence(v)).max())
-    worst_fiber = 0.0
-    for state in v:
-        f = geometry.hopf_fiber(state)
-        worst_fiber = max(worst_fiber, abs(
-            geometry.quat_norm2(f.q_plus) + geometry.quat_norm2(f.q_minus) - 1.0))
+    # 1,000 states per call bounds the memory of the stacked fiber intermediates
+    worst_fiber = max(float(np.abs(geometry.quat_norm2(f.q_plus) + geometry.quat_norm2(f.q_minus)
+                                   - 1.0).max())
+                      for f in map(geometry.hopf_fiber, np.split(v, 10)))
     zero_worst = 0.0
     for kind, idx in ((ansatz.LDCA, (1, 4)), (ansatz.QGAN, (3,)), (ansatz.HEA, (2, 4))):
         thetas = rng.uniform(0, 2 * np.pi, (1000, ansatz.param_count(kind)))

@@ -305,3 +305,87 @@ def test_ldca_secant_identity():
 def test_fiber_inconsistency_guard():
     with pytest.raises(ValueError):
         geo.hopf_fiber(np.array([1.0, 1.0, 0, 0]))  # unnormalized
+
+
+def test_fiber_guard_rejects_a_stack_with_one_unnormalized_row():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    stack = np.stack([_random_state(rng) for _ in range(5)])
+    stack[3] *= 1.5
+    with pytest.raises(ValueError):
+        geo.hopf_fiber(stack)
+
+
+def test_hopf_base_refuses_a_stack_with_a_one_line_error():
+    with pytest.raises(ValueError, match=r"^expected one state of shape \(4,\), got shape \(2, 4\)$"):
+        geo.hopf_base(np.ones((2, 4)) / 2)
+
+
+# the scalar fiber extraction that the broadcast one replaced, kept as its reference
+
+def _ref_quat(w=0.0, x=0.0, y=0.0, z=0.0):
+    return np.array([w, x, y, z], dtype=float)
+
+
+def _ref_quat_from_complex_pair(z, w):
+    return np.array([z.real, z.imag, w.real, w.imag])
+
+
+def _ref_quat_mul(a, b):
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2])
+
+
+def _ref_quat_conj(a):
+    return np.array([a[0], -a[1], -a[2], -a[3]])
+
+
+def _ref_hopf_fiber(state, convention):
+    x = geo.base_coordinates(state)
+    z = complex(0.5 * (x[1] + 1j * x[4]))
+    w = complex(0.5 * (x[3] - 1j * x[2]))
+    r2 = abs(z) ** 2 + abs(w) ** 2
+    disc = np.sqrt(max(0.0, 1.0 - r2))
+    gamma_p = float(np.sqrt(1.0 + disc))
+    gamma_m = float(np.sqrt(max(0.0, 1.0 - disc)))
+    u = _ref_quat(1.0) if r2 < 1e-24 else _ref_quat_from_complex_pair(z, w) / np.sqrt(r2)
+    psi_h = (_ref_quat_from_complex_pair(complex(state[0]), complex(state[1])),
+             _ref_quat_from_complex_pair(complex(state[2]), complex(state[3])))
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    c_plus = (_ref_quat(gamma_p) * inv_sqrt2, gamma_m * u * inv_sqrt2)
+    first = -gamma_m if convention == geo.FRAME_ORTHONORMAL else gamma_m
+    c_minus = (_ref_quat(first) * inv_sqrt2, gamma_p * u * inv_sqrt2)
+    q_plus = (_ref_quat_mul(_ref_quat_conj(c_plus[0]), psi_h[0])
+              + _ref_quat_mul(_ref_quat_conj(c_plus[1]), psi_h[1]))
+    q_minus = (_ref_quat_mul(_ref_quat_conj(c_minus[0]), psi_h[0])
+               + _ref_quat_mul(_ref_quat_conj(c_minus[1]), psi_h[1]))
+    return q_plus, q_minus, z, w, gamma_p, gamma_m
+
+
+@pytest.mark.parametrize("convention", [geo.FRAME_ORTHONORMAL, geo.FRAME_CHART])
+def test_batched_fiber_rows_match_scalar_reference(convention):
+    rng = np.random.default_rng(RNG_SEED + 6)
+    parts = rng.normal(size=(2000, 2, 4))
+    states = parts[:, 0] + 1j * parts[:, 1]
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    # |00> and |11> take the r2 < 1e-24 branch; the Bell state has r2 = 1
+    special = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)]])
+    states = np.concatenate([states[:1000], special, states[1000:]])
+    f = geo.hopf_fiber(states, convention=convention)
+    assert f.q_plus.shape == f.q_minus.shape == (len(states), 4)
+    for k, state in enumerate(states):
+        q_plus, q_minus, z, w, gamma_p, gamma_m = _ref_hopf_fiber(state, convention)
+        assert (f.gamma_plus[k], f.gamma_minus[k], f.z[k], f.w[k]) == (gamma_p, gamma_m, z, w)
+        assert np.abs(f.q_plus[k] - q_plus).max() <= 2.3e-16
+        assert np.abs(f.q_minus[k] - q_minus).max() <= 2.3e-16
+
+
+def test_single_state_fiber_keeps_its_types():
+    f = geo.hopf_fiber(np.array([0.6, 0, 0, 0.8j]))
+    assert f.q_plus.shape == f.q_minus.shape == (4,)
+    assert isinstance(geo.quat_norm2(f.q_plus), float)
+    assert isinstance(f.z, complex) and isinstance(f.gamma_plus, float)
+    assert geo.quat_norm2(np.ones((3, 4))).shape == (3,)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,56 @@ def test_landscape_files_written(tmp_path):
     assert np.array_equal(loaded_mask.astype(bool), mask)
     saved_meta = json.loads((tmp_path / "scan" / "hea12_meta.json").read_text())
     assert saved_meta["resolution"] == 11
+
+
+def _reference_write_grid_csv(path, grid):
+    # the per-cell writer that the row-streamed one replaced
+    lines = [",".join(repr(float(v)) if isinstance(v, float) or np.issubdtype(type(v), np.floating)
+                      else str(int(v)) for v in row) for row in grid]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _assert_writers_agree(tmp_path, grid):
+    harness._write_grid_csv(tmp_path / "new.csv", grid)
+    _reference_write_grid_csv(tmp_path / "ref.csv", grid)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_grid_writer_matches_per_cell_reference_on_edge_values(tmp_path):
+    edge = [-5.0, 10.0, -0.0, 0.0, 5e-324, 1e16, 0.1, -1.5e-7, 2.0 / 3.0]
+    _assert_writers_agree(tmp_path, np.array(edge * 4).reshape(6, 6))
+    _assert_writers_agree(tmp_path, (np.arange(30).reshape(5, 6) % 3 == 0).astype(int))
+
+
+def test_grid_writer_matches_per_cell_reference_on_shea_pole_scan(tmp_path):
+    fixed = np.array([np.pi / 2, np.pi / 2, 0.0, 0.0, 0.0, 0.0])
+    values, mask, _ = harness.scan_landscape("shea", (2, 3), fixed_theta=fixed, resolution=801,
+                                             out_prefix=tmp_path / "pole")
+    assert mask.any() and not mask.all()
+    for name, grid in (("pole.csv", values), ("pole_mask.csv", mask.astype(int))):
+        _reference_write_grid_csv(tmp_path / "ref.csv", grid)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _traced_peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_writer_holds_one_row_of_python_objects(tmp_path):
+    # building the whole 801 x 801 grid as Python objects takes about 30 MB
+    grid = np.random.default_rng(3).uniform(-5.0, 10.0, (801, 801))
+    assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "grid.csv", grid) < 1.0
+
+
+def test_hopf_suite_memory_stays_chunked():
+    # one hopf_fiber call over all 10,000 states peaks at about 6.7 MB
+    suite = dict(harness.VALIDATION_SUITES)["hopf-invariants"]
+    assert _traced_peak_mb(suite, np.random.default_rng(7)) <= 4.0
 
 
 def test_landscape_validation():
