@@ -1,7 +1,8 @@
 """Experiment orchestration and result persistence.
 
 Everything here writes plain CSV/JSON; plotting is left to external
-consumers. Per-trial VQE traces use the fixed column set
+consumers. Landscape grid CSVs are written one row at a time, each distinct
+value of a row formatted once. Per-trial VQE traces use the fixed column set
 
     step, energy, energy_error, concurrence, ricci, grad_norm, theta_1 .. theta_m
 
@@ -146,10 +147,11 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if base.shape != (m,):
         raise ValueError(f"fixed parameter vector must have length {m}")
     axis = np.linspace(0.0, 2.0 * np.pi, resolution)
-    grid_theta = np.broadcast_to(base, (resolution, resolution, m)).copy()
-    grid_theta[:, :, a] = axis[:, None]
-    grid_theta[:, :, b] = axis[None, :]
-    raw = ansatz.ricci_circuit_grid(kind, grid_theta)
+    # parameter-major, so that each closed form reads contiguous (n, n) planes
+    grid_theta = np.broadcast_to(base[:, None, None], (m, resolution, resolution)).copy()
+    grid_theta[a] = axis[:, None]
+    grid_theta[b] = axis[None, :]
+    raw = ansatz.ricci_circuit_grid(kind, grid_theta.transpose(1, 2, 0))
     mask = (raw < lo) | (raw > hi)
     values = np.clip(raw, lo, hi)
     meta = {"ansatz": kind, "scan_indices": [a, b], "fixed_theta": base.tolist(),
@@ -157,7 +159,7 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if out_prefix is not None:
         prefix = Path(out_prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        _write_grid_csv(prefix.with_suffix(".csv"), values)
+        _write_grid_csv(prefix.parent / (prefix.name + ".csv"), values)
         _write_grid_csv(prefix.parent / (prefix.name + "_mask.csv"), mask.astype(int))
         (prefix.parent / (prefix.name + "_meta.json")).write_text(
             json.dumps(meta, indent=1) + "\n", encoding="utf-8")
@@ -165,11 +167,14 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
 
 
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
-    # one formatter per grid, and one row of Python objects alive at a time
+    # one row of Python objects alive at a time; each distinct bit pattern formatted once
     fmt = repr if np.issubdtype(grid.dtype, np.floating) else str
+    bits = np.dtype(f"u{grid.dtype.itemsize}")
     with path.open("w", encoding="utf-8") as fh:
         for row in grid:
-            fh.write(",".join(map(fmt, row.tolist())) + "\n")
+            keys, inverse = np.unique(row.view(bits), return_inverse=True)
+            text = np.array([fmt(v) for v in keys.view(grid.dtype).tolist()], dtype=object)
+            fh.write(",".join(text[inverse].tolist()) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,87 @@ def test_grid_writer_matches_per_cell_reference_on_shea_pole_scan(tmp_path):
         assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_grid_writer_keeps_the_bits_of_each_repeated_value(tmp_path):
+    # a dedupe on float equality would give -0.0 and 0.0 one text; the NaNs differ in sign
+    neg_nan = -np.float64(np.nan)
+    row = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, neg_nan, 0.1, -0.0, 0.0,
+           np.nan, 5e-324, np.inf, 0.1, neg_nan]
+    _assert_writers_agree(tmp_path, np.array([row, row[::-1], [-0.0] * 16, [7.25] * 16]))
+
+
+def test_grid_writer_matches_per_cell_reference_on_non_contiguous_grids(tmp_path):
+    grid = np.round(np.random.default_rng(5).uniform(-5.0, 10.0, (40, 60)), 1)
+    grid[::3] = -5.0
+    for view in (grid.T, grid[:, ::2], grid[::-1, 1::3]):
+        assert not view.flags.c_contiguous
+        _assert_writers_agree(tmp_path, view)
+    mask = (grid > 4.0).astype(int)
+    mask[0], mask[1] = 0, 1
+    _assert_writers_agree(tmp_path, mask)
+    _assert_writers_agree(tmp_path, mask.T)
+
+
+HALF_PI = np.pi / 2
+# 1-based scan pair and pinned values of a layout whose grid crosses the C = 1 pole,
+# as in the landscape workload of perfbench
+QGAN_LAYOUTS = (((1, 2), {5: HALF_PI}), ((1, 5), {2: HALF_PI}), ((2, 5), {1: HALF_PI}))
+POLE_LAYOUTS = {
+    "hea": (((1, 2), {}),),
+    "ldca": (((3, 5), {}),),
+    "qgan": QGAN_LAYOUTS,
+    "qgan-aug": QGAN_LAYOUTS,
+    "shea": (((1, 2), {3: np.pi, 4: 0.0}),),
+}
+
+
+def _pole_scans(kind):
+    """(0-based scan pair, fixed theta) of each pole layout, unpinned values seeded."""
+    rng = np.random.default_rng(11)
+    for (a, b), pinned in POLE_LAYOUTS[kind]:
+        fixed = rng.uniform(0.0, 2 * np.pi, ansatz.param_count(kind))
+        for idx, value in pinned.items():
+            fixed[idx - 1] = value
+        yield (a - 1, b - 1), fixed
+
+
+@pytest.mark.parametrize("kind", sorted(POLE_LAYOUTS))
+def test_grid_writer_matches_per_cell_reference_on_pole_scans(tmp_path, kind):
+    for scan, fixed in _pole_scans(kind):
+        values, mask, _ = harness.scan_landscape(kind, scan, fixed_theta=fixed, resolution=201,
+                                                 clip=(-5.0, 8.0), out_prefix=tmp_path / "pole")
+        assert mask.any() and not mask.all()
+        for name, grid in (("pole.csv", values), ("pole_mask.csv", mask.astype(int))):
+            _reference_write_grid_csv(tmp_path / "ref.csv", grid)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(POLE_LAYOUTS))
+def test_parameter_major_scan_grid_is_bit_identical_to_the_cell_major_copy(monkeypatch, kind):
+    compute = ansatz.ricci_circuit_grid
+    seen = []
+    monkeypatch.setattr(harness.ansatz, "ricci_circuit_grid",
+                        lambda kind, theta: seen.append(compute(kind, theta)) or seen[-1])
+    n = 201
+    axis = np.linspace(0.0, 2.0 * np.pi, n)
+    for (a, b), fixed in _pole_scans(kind):
+        harness.scan_landscape(kind, (a, b), fixed_theta=fixed, resolution=n)
+        # the (n, n, m) copy that the scan built before it went parameter-major
+        cell_major = np.broadcast_to(fixed, (n, n, len(fixed))).copy()
+        cell_major[:, :, a] = axis[:, None]
+        cell_major[:, :, b] = axis[None, :]
+        expected = compute(kind, cell_major)
+        assert (expected < -5.0).any()
+        assert seen.pop().tobytes() == expected.tobytes()
+
+
+def test_cli_scan_with_dotted_prefix_keeps_the_dot(tmp_path, capsys):
+    prefix = tmp_path / "d" / "run.v2"
+    assert main(["scan-landscape", "--ansatz", "hea", "--grid", "5", "--out", str(prefix)]) == 0
+    assert f"{prefix}.csv" in capsys.readouterr().out
+    assert sorted(p.name for p in prefix.parent.iterdir()) == [
+        "run.v2.csv", "run.v2_mask.csv", "run.v2_meta.json"]
+
+
 def _traced_peak_mb(fn, *args):
     tracemalloc.start()
     try:
