@@ -1,13 +1,13 @@
 """Closed forms against oracles: concurrence and scalar curvature.
 
-Each circuit family has a closed-form concurrence in its own parameters and a
-closed-form scalar curvature that collapses to the single universal curve
+Each circuit family has a closed-form concurrence in its own parameters, and
+its per-circuit scalar curvature is the single universal curve
 
-    R(C) = 2 (6 C^2 - 5) / (C^2 - 1),
+    R(C) = 2 (6 C^2 - 5) / (C^2 - 1)
 
-positive (up to +10) for weakly entangled states, diverging to -infinity as
-C -> 1. The numeric tensor-calculus engine independently confirms the curve
-from the base metric.
+evaluated at that concurrence: positive (up to +10) for weakly entangled
+states, diverging to -infinity as C -> 1. The numeric tensor-calculus engine
+independently confirms the curve from the base metric.
 
 Run:  python demos/03_concurrence_curvature_closed_forms.py
 """

@@ -11,7 +11,6 @@ from .ansatz import (
     QGAN,
     QGAN_AUG,
     SHEA,
-    SingularityError,
     concurrence_closed,
     param_count,
     prepare_state,
@@ -19,6 +18,7 @@ from .ansatz import (
     state_jacobian,
 )
 from .geometry import (
+    SingularityError,
     concurrence,
     hopf_base,
     hopf_fiber,
@@ -44,9 +44,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ANSATZE", "HEA", "LDCA", "QGAN", "QGAN_AUG", "SHEA",
-    "SingularityError", "concurrence_closed", "param_count", "prepare_state",
-    "ricci_closed_circuit", "state_jacobian",
-    "concurrence", "hopf_base", "hopf_fiber", "mfs_metric",
+    "concurrence_closed", "param_count", "prepare_state", "ricci_closed_circuit",
+    "state_jacobian",
+    "SingularityError", "concurrence", "hopf_base", "hopf_fiber", "mfs_metric",
     "resolve_chart_convention", "ricci_closed", "scalar_curvature_numeric",
     "OptConfig", "TraceRecord", "run_optimization", "run_trials",
     "PseudoInverse", "Tikhonov", "fs_metric", "invert_metric", "qgt_full",

@@ -2,7 +2,9 @@
 
 Each family is defined canonically by a closed-form map from its parameter
 vector to a normalized statevector, together with a hand-differentiated
-analytic Jacobian and closed-form concurrence / scalar-curvature expressions.
+analytic Jacobian and a closed-form concurrence C. The per-circuit scalar
+curvature is the universal R(C) of :func:`pqcgeo.geometry.ricci_closed`
+evaluated at that concurrence.
 
 Closed-form state maps (notation C(x)=cos x, S(x)=sin x):
 
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import SingularityError, ricci_closed
+
 HEA = "hea"
 LDCA = "ldca"
 QGAN = "qgan"
@@ -55,10 +59,6 @@ BLOCK_PARTITIONS = {
     SHEA: ((0, 1), (2,), (3,), (4, 5)),
     QGAN_AUG: ((0, 1), (2, 3), (4,), (5, 6), (7, 8)),
 }
-
-
-class SingularityError(ValueError):
-    """Raised where a closed-form curvature expression hits its C = 1 pole."""
 
 
 def resolve_kind(kind: str) -> str:
@@ -244,10 +244,8 @@ def state_and_jacobian(kind: str, theta) -> tuple[np.ndarray, np.ndarray]:
 # closed-form concurrence and scalar curvature
 # ---------------------------------------------------------------------------
 
-def concurrence_closed(kind: str, theta) -> np.ndarray | float:
-    """Closed-form concurrence; broadcasts over leading axes of theta."""
-    kind = resolve_kind(kind)
-    t = _columns(_check_theta(kind, theta))
+def _concurrence(kind: str, t):
+    """Closed-form concurrence at the validated parameter columns t, clipped to [0, 1]."""
     if kind == HEA:
         c = np.abs(np.sin(2 * t[0]) * np.cos(2 * t[1]))
     elif kind == LDCA:
@@ -257,29 +255,22 @@ def concurrence_closed(kind: str, theta) -> np.ndarray | float:
         # appended single-qubit rotations of qgan-aug leave the concurrence alone
         c = np.abs(np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4]))
     else:
-        c = 0.5 * np.sqrt(_shea_pole_argument(t))
-    c = np.clip(c, 0.0, 1.0)
+        a = np.sin(t[0]) ** 2 * np.sin(t[1]) ** 2 * (np.cos(t[2]) - np.cos(t[3] / 4)) ** 2
+        b = (np.sin(t[2]) * (np.cos(t[0]) * np.cos(t[1]) + 1)
+             - np.sin(t[0]) * np.sin(t[1]) * np.sin(t[3] / 4)) ** 2
+        c = 0.5 * np.sqrt(a + b)
+    return np.clip(c, 0.0, 1.0)
+
+
+def concurrence_closed(kind: str, theta) -> np.ndarray | float:
+    """Closed-form concurrence; broadcasts over leading axes of theta."""
+    kind = resolve_kind(kind)
+    c = _concurrence(kind, _columns(_check_theta(kind, theta)))
     return float(c) if np.ndim(c) == 0 else c
 
 
-def _shea_pole_argument(t):
-    # shared between the shea concurrence (C = sqrt(n)/2) and curvature ((12n-40)/(n-4))
-    a = np.sin(t[0]) ** 2 * np.sin(t[1]) ** 2 * (np.cos(t[2]) - np.cos(t[3] / 4)) ** 2
-    b = (np.sin(t[2]) * (np.cos(t[0]) * np.cos(t[1]) + 1)
-         - np.sin(t[0]) * np.sin(t[1]) * np.sin(t[3] / 4)) ** 2
-    return a + b
-
-
-def _ricci_from_pole(num, den):
-    """Evaluate num/den elementwise, mapping den == 0 to -inf (the C = 1 pole)."""
-    den = np.asarray(den, dtype=float)
-    safe = np.where(den != 0.0, den, 1.0)
-    out = np.where(den != 0.0, np.asarray(num, dtype=float) / safe, -np.inf)
-    return out
-
-
 def ricci_closed_circuit(kind: str, theta) -> float:
-    """Per-circuit closed-form scalar curvature at a single parameter vector.
+    """Per-circuit scalar curvature R(C) at a single parameter vector.
 
     Raises SingularityError when the parameters sit on the maximal-entanglement
     pole (concurrence equal to 1 within 1e-12).
@@ -288,30 +279,18 @@ def ricci_closed_circuit(kind: str, theta) -> float:
     theta = _check_theta(kind, theta)
     if theta.ndim != 1:
         raise ValueError(f"expected one parameter vector, got shape {theta.shape}")
-    c = concurrence_closed(kind, theta)
+    c = float(_concurrence(kind, theta))
     if 1.0 - c <= 1e-12:
         raise SingularityError(f"curvature pole: concurrence = {c!r}")
-    return float(ricci_circuit_grid(kind, theta))
+    return ricci_closed(c)
 
 
 def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:
-    """Vectorized per-circuit curvature; poles evaluate to -inf instead of raising."""
+    """Vectorized per-circuit curvature R(C); C = 1 evaluates to -inf instead of raising."""
     kind = resolve_kind(kind)
-    t = _columns(_check_theta(kind, theta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == HEA:
-            s = np.sin(2 * t[0]) * np.cos(2 * t[1])
-            r = 12.0 + _ricci_from_pole(2.0, s * s - 1.0)
-        elif kind == LDCA:
-            cc = (np.cos(2 * t[2]) * np.cos(2 * t[4])) ** 2
-            r = np.where(cc != 0.0, 12.0 - 2.0 / np.where(cc != 0.0, cc, 1.0), -np.inf)
-        elif kind in (QGAN, QGAN_AUG):
-            s = np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4])
-            r = 12.0 + _ricci_from_pole(2.0, s * s - 1.0)
-        else:
-            # C <= 1 bounds n by 4; round-off just above 4 would turn -inf into +huge
-            n = np.minimum(_shea_pole_argument(t), 4.0)
-            r = _ricci_from_pole(12.0 * n - 40.0, n - 4.0)
+    c = _concurrence(kind, _columns(_check_theta(kind, theta)))
+    pole = c == 1.0
+    r = np.where(pole, -np.inf, ricci_closed(np.where(pole, 0.0, c)))
     return float(r) if np.ndim(r) == 0 else r
 
 

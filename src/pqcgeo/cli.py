@@ -63,11 +63,11 @@ def _resolve_hamiltonian_path(arg: str) -> str:
 
 
 def _cmd_run_vqe(args) -> int:
-    policy = qgt.PseudoInverse(rcond=args.rcond) if args.inversion == "pinv" \
-        else qgt.Tikhonov(epsilon=args.epsilon)
+    # both policies are built so that a bad --rcond or --epsilon is refused either way
+    policies = dict(pinv=qgt.PseudoInverse(args.rcond), tikhonov=qgt.Tikhonov(args.epsilon))
     opt = optimize.OptConfig(learning_rate=args.lr, max_steps=args.steps, tol=args.tol,
                              optimizer=args.optimizer, metric_mode=args.metric,
-                             inversion=policy, seed=args.seed)
+                             inversion=policies[args.inversion], seed=args.seed)
     config = harness.ExperimentConfig(kind=args.ansatz, opt=opt,
                                       hamiltonian_path=_resolve_hamiltonian_path(args.hamiltonian),
                                       trials=args.trials, out_dir=args.out)
@@ -81,20 +81,23 @@ def _cmd_run_vqe(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    kind = args.ansatz
-    m = ansatz.param_count(kind)
+    m = ansatz.param_count(args.ansatz)
+    a, b = args.scan
+    if not (1 <= a <= m and 1 <= b <= m and a != b):
+        raise ValueError(f"bad --scan indices {a} {b}: expected two distinct indices in 1..{m}")
     fixed = np.zeros(m)
-    a, b = (i - 1 for i in args.scan)
+    taken = {a, b}
     for item in args.fix:
         try:
             idx, val = item.split("=")
             idx, val = int(idx), float(val)
         except ValueError as exc:
             raise ValueError(f"bad --fix argument {item!r}; expected INDEX=VALUE") from exc
-        if not 1 <= idx <= m or idx - 1 in (a, b):
-            raise ValueError(f"bad --fix index {idx}: expected an unscanned index in 1..{m}")
+        if not 1 <= idx <= m or idx in taken:
+            raise ValueError(f"bad --fix index {idx}: repeated, scanned or outside 1..{m}")
+        taken.add(idx)
         fixed[idx - 1] = val
-    _, mask, meta = harness.scan_landscape(kind, (a, b), fixed_theta=fixed,
+    _, mask, meta = harness.scan_landscape(args.ansatz, (a - 1, b - 1), fixed_theta=fixed,
                                            resolution=args.grid, clip=tuple(args.clip),
                                            out_prefix=args.out)
     print(f"wrote {meta['resolution']}x{meta['resolution']} grid to {args.out}.csv "

@@ -15,8 +15,9 @@ quaternionic Fubini-Study metric on the base gives the scalar curvature
 
     R(C) = 2 (6 C^2 - 5) / (C^2 - 1),
 
-which the numeric Christoffel/curvature engine below reproduces and which all
-per-circuit closed forms in :mod:`pqcgeo.ansatz` collapse to.
+which the numeric Christoffel/curvature engine below reproduces and which
+:mod:`pqcgeo.ansatz` evaluates at each family's closed-form concurrence to
+give the per-circuit curvature.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .ansatz import SingularityError
 from .simulator import require_normalized
 
 # chart conventions for the base metric, named by where the sin^2(Theta)
@@ -39,6 +39,10 @@ FRAME_ORTHONORMAL = "orthonormal"  # the two reference spinors form an orthonorm
 FRAME_CHART = "chart"              # raw overlaps with the two chart spinors
 
 _CHART_TOL = 1e-9
+
+
+class SingularityError(ValueError):
+    """Raised where the scalar curvature or the base chart hits the C = 1 pole."""
 
 
 class ConditioningError(RuntimeError):

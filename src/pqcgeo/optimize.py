@@ -33,8 +33,9 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if not self.tol > 0:

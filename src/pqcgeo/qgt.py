@@ -35,8 +35,8 @@ class PseudoInverse:
     rcond: float = 1e-8
 
     def __post_init__(self):
-        if not self.rcond > 0:
-            raise ValueError("rcond must be positive")
+        if not 0 < self.rcond < np.inf:
+            raise ValueError(f"rcond must be positive and finite, got {self.rcond!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class Tikhonov:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
 InversionPolicy = PseudoInverse | Tikhonov

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ansatz
+from .geometry import concurrence
 from .simulator import PauliObservable, expectation, require_normalized
 
 HAMILTONIAN_TERMS = ("I", "Z1", "Z2", "Z1Z2", "X1X2", "Y1Y2")
@@ -139,7 +140,4 @@ def exact_ground(hamiltonian: Hamiltonian) -> GroundTruth:
         keys = [tuple(np.round(c.view(float), 12)) for c in candidates]
         candidates = [c for _, c in sorted(zip(keys, candidates), key=lambda p: p[0])]
     ground = require_normalized(candidates[0])
-    from .geometry import concurrence as _concurrence
-
-    return GroundTruth(energy=float(w[0]), state=ground,
-                       concurrence=float(_concurrence(ground)))
+    return GroundTruth(energy=float(w[0]), state=ground, concurrence=float(concurrence(ground)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pqcgeo
 from pqcgeo import ansatz, geometry, simulator as sim
 from pqcgeo.ansatz import ANSATZE, HEA, LDCA, QGAN, QGAN_AUG, SHEA
 
@@ -161,6 +162,9 @@ def test_ricci_circuit_examples():
 def test_ricci_circuit_singularity_signal():
     with pytest.raises(ansatz.SingularityError):
         ansatz.ricci_closed_circuit(HEA, [np.pi / 4, 0, 0, 0])
+    assert ansatz.ricci_circuit_grid(HEA, [np.pi / 4, 0, 0, 0]) == -np.inf
+    # geometry owns the class; ansatz and the package re-export the same one
+    assert ansatz.SingularityError is geometry.SingularityError is pqcgeo.SingularityError
 
 
 def test_ricci_circuit_shea_pole_curve_stays_negative():
@@ -182,12 +186,108 @@ def test_ricci_circuit_matches_universal_form():
     rng = np.random.default_rng(RNG_SEED + 6)
     for kind in ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(2000, ansatz.param_count(kind)))
-        c = np.asarray(ansatz.concurrence_closed(kind, thetas))
+        # C of the prepared state, so the closed-form concurrence does not feed both sides
+        c = np.asarray(geometry.concurrence(ansatz.prepare_state(kind, thetas)))
         keep = c <= 0.99
         circuit = np.asarray(ansatz.ricci_circuit_grid(kind, thetas))[keep]
         universal = ricci_closed(c[keep])
         rel = np.abs(circuit - universal) / (1.0 + np.abs(universal))
         assert rel.max() < 1e-8
+
+
+# --- differential test against the per-family closed forms that R(C) replaced ---
+
+def _reference_shea_pole_argument(t):
+    a = np.sin(t[0]) ** 2 * np.sin(t[1]) ** 2 * (np.cos(t[2]) - np.cos(t[3] / 4)) ** 2
+    b = (np.sin(t[2]) * (np.cos(t[0]) * np.cos(t[1]) + 1)
+         - np.sin(t[0]) * np.sin(t[1]) * np.sin(t[3] / 4)) ** 2
+    return a + b
+
+
+def _reference_concurrence_closed(kind, theta):
+    """The per-family concurrence as written before R(C) was applied to it."""
+    t = np.moveaxis(np.asarray(theta, dtype=float), -1, 0)
+    if kind == HEA:
+        c = np.abs(np.sin(2 * t[0]) * np.cos(2 * t[1]))
+    elif kind == LDCA:
+        inner = 3.0 - 2.0 * np.cos(4 * t[2]) * np.cos(2 * t[4]) ** 2 - np.cos(4 * t[4])
+        c = 0.5 * np.sqrt(np.clip(inner, 0.0, None))
+    elif kind in (QGAN, QGAN_AUG):
+        c = np.abs(np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4]))
+    else:
+        c = 0.5 * np.sqrt(_reference_shea_pole_argument(t))
+    return np.clip(c, 0.0, 1.0)
+
+
+def _reference_ricci_from_pole(num, den):
+    den = np.asarray(den, dtype=float)
+    safe = np.where(den != 0.0, den, 1.0)
+    return np.where(den != 0.0, np.asarray(num, dtype=float) / safe, -np.inf)
+
+
+def _reference_ricci_circuit_grid(kind, theta):
+    """The four per-family curvature forms, each R(C) rewritten in its own variables."""
+    t = np.moveaxis(np.asarray(theta, dtype=float), -1, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == HEA:
+            s = np.sin(2 * t[0]) * np.cos(2 * t[1])
+            return 12.0 + _reference_ricci_from_pole(2.0, s * s - 1.0)
+        if kind == LDCA:
+            cc = (np.cos(2 * t[2]) * np.cos(2 * t[4])) ** 2
+            return np.where(cc != 0.0, 12.0 - 2.0 / np.where(cc != 0.0, cc, 1.0), -np.inf)
+        if kind in (QGAN, QGAN_AUG):
+            s = np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4])
+            return 12.0 + _reference_ricci_from_pole(2.0, s * s - 1.0)
+        n = np.minimum(_reference_shea_pole_argument(t), 4.0)
+        return _reference_ricci_from_pole(12.0 * n - 40.0, n - 4.0)
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_curvature_matches_the_per_family_forms_it_replaced(kind):
+    rng = np.random.default_rng(RNG_SEED + 9)
+    thetas = rng.uniform(0, 2 * np.pi, size=(20000, ansatz.param_count(kind)))
+    c = ansatz.concurrence_closed(kind, thetas)
+    assert c.tobytes() == _reference_concurrence_closed(kind, thetas).tobytes()
+    r, ref = ansatz.ricci_circuit_grid(kind, thetas), _reference_ricci_circuit_grid(kind, thetas)
+    assert np.array_equal(np.isneginf(r), np.isneginf(ref))
+    rel = np.abs(r - ref) / (1.0 + np.abs(ref))
+    assert rel[c <= 0.99].max() <= 1e-12
+
+
+HALF_PI = np.pi / 2
+# Scans across the C = 1 pole, as in perfbench/workloads.py: (1-based scan pair, pinned
+# values); the other parameters are seeded draws. The last shea layout is the pole scan
+# whose C = 1 curve and C = 1/sqrt(2) cells (where R(C) is exactly 8) the grid hits.
+QGAN_LAYOUTS = (((1, 2), {5: HALF_PI}), ((1, 5), {2: HALF_PI}), ((2, 5), {1: HALF_PI}))
+POLE_LAYOUTS = {
+    HEA: (((1, 2), {}),),
+    LDCA: (((3, 5), {}),),
+    QGAN: QGAN_LAYOUTS,
+    QGAN_AUG: QGAN_LAYOUTS,
+    SHEA: (((1, 2), {3: np.pi, 4: 0.0}),
+           ((3, 4), {1: HALF_PI, 2: HALF_PI, 5: 0.0, 6: 0.0})),
+}
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_pole_scans_match_the_per_family_forms_it_replaced(kind):
+    rng = np.random.default_rng(RNG_SEED + 10)
+    n, (lo, hi) = 201, (-5.0, 8.0)
+    axis = np.linspace(0.0, 2.0 * np.pi, n)
+    for (a, b), pinned in POLE_LAYOUTS[kind]:
+        grid = np.tile(rng.uniform(0, 2 * np.pi, ansatz.param_count(kind)), (n, n, 1))
+        for idx, value in pinned.items():
+            grid[:, :, idx - 1] = value
+        grid[:, :, a - 1] = axis[:, None]
+        grid[:, :, b - 1] = axis[None, :]
+        assert (ansatz.concurrence_closed(kind, grid).tobytes()
+                == _reference_concurrence_closed(kind, grid).tobytes())
+        r, ref = ansatz.ricci_circuit_grid(kind, grid), _reference_ricci_circuit_grid(kind, grid)
+        assert np.isneginf(r).any()
+        assert np.abs(np.clip(r, lo, hi) - np.clip(ref, lo, hi)).max() <= 1e-12
+        at_bound = (np.abs(ref - lo) <= 1e-12) | (np.abs(ref - hi) <= 1e-12)
+        mask, ref_mask = (r < lo) | (r > hi), (ref < lo) | (ref > hi)
+        assert np.array_equal(mask[~at_bound], ref_mask[~at_bound])
 
 
 # --- the batch axis: (..., m) parameters broadcast through the state maps ---

@@ -333,7 +333,28 @@ def test_cli_hopf_and_exit_codes(tmp_path, capsys):
     for fix in ("0=1.5", "7=1.5", "2=1.5", "5=nan", "5=inf"):
         assert main(["scan-landscape", "--ansatz", "shea", "--scan", "1", "2", "--fix", fix,
                      "--grid", "3", "--out", str(tmp_path / "fix")]) == 2
+    # --scan is 1-based like --fix, and an index is fixed at most once
+    capsys.readouterr()
+    for args, message in ((["--scan", "0", "2"], "1..4"), (["--scan", "1", "5"], "1..4"),
+                          (["--scan", "2", "2"], "1..4"),
+                          (["--fix", "3=1", "--fix", "3=2"], "bad --fix index 3")):
+        assert main(["scan-landscape", "--ansatz", "hea", *args, "--grid", "3",
+                     "--out", str(tmp_path / "fix")]) == 2
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "fix.csv").exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--lr", "learning_rate"), ("--rcond", "rcond"),
+                                       ("--epsilon", "epsilon")])
+@pytest.mark.parametrize("inversion", ["pinv", "tikhonov"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_cli_rejects_non_finite_step_and_inversion_settings(tmp_path, capsys, flag, name,
+                                                            inversion, value):
+    assert main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", "entangled", "--optimizer", "qng",
+                 "--inversion", inversion, flag, value, "--trials", "1", "--steps", "2",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert f"{name} must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "summary.json").exists()
 
 
 def test_cli_run_vqe_and_scan(tmp_path, capsys):
