@@ -1,8 +1,9 @@
 """Experiment orchestration and result persistence.
 
 Everything here writes plain CSV/JSON; plotting is left to external
-consumers. Landscape grid CSVs are written one row at a time, each distinct
-value of a row formatted once. Per-trial VQE traces use the fixed column set
+consumers. A landscape scan holds its output grid plus one block of rows, and
+writes its grid CSVs one row at a time, each distinct value formatted once.
+Per-trial VQE traces use the fixed column set
 
     step, energy, energy_error, concurrence, ricci, grad_norm, theta_1 .. theta_m
 
@@ -25,6 +26,7 @@ CHEMICAL_ACCURACY = 1e-3
 DEFAULT_TRIALS = 50
 DEFAULT_GRID = 201
 DEFAULT_CLIP = (-5.0, 10.0)
+_ROW_BLOCK = 32  # grid rows per closed-form call of a landscape scan
 
 
 @dataclass(frozen=True)
@@ -147,20 +149,23 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if base.shape != (m,):
         raise ValueError(f"fixed parameter vector must have length {m}")
     axis = np.linspace(0.0, 2.0 * np.pi, resolution)
-    # parameter-major, so that each closed form reads contiguous (n, n) planes
-    grid_theta = np.broadcast_to(base[:, None, None], (m, resolution, resolution)).copy()
-    grid_theta[a] = axis[:, None]
-    grid_theta[b] = axis[None, :]
-    raw = ansatz.ricci_circuit_grid(kind, grid_theta.transpose(1, 2, 0))
+    raw = np.empty((resolution, resolution))
+    for start in range(0, resolution, _ROW_BLOCK):
+        rows = axis[start:start + _ROW_BLOCK]
+        # parameter-major, so that each closed form reads contiguous (rows, n) planes
+        block = np.broadcast_to(base[:, None, None], (m, rows.size, resolution)).copy()
+        block[a] = rows[:, None]
+        block[b] = axis[None, :]
+        raw[start:start + rows.size] = ansatz.ricci_circuit_grid(kind, block.transpose(1, 2, 0))
     mask = (raw < lo) | (raw > hi)
-    values = np.clip(raw, lo, hi)
+    values = np.clip(raw, lo, hi, out=raw)
     meta = {"ansatz": kind, "scan_indices": [a, b], "fixed_theta": base.tolist(),
             "resolution": resolution, "clip": [lo, hi], "axis": axis.tolist()}
     if out_prefix is not None:
         prefix = Path(out_prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         _write_grid_csv(prefix.parent / (prefix.name + ".csv"), values)
-        _write_grid_csv(prefix.parent / (prefix.name + "_mask.csv"), mask.astype(int))
+        _write_grid_csv(prefix.parent / (prefix.name + "_mask.csv"), mask.view(np.uint8))
         (prefix.parent / (prefix.name + "_meta.json")).write_text(
             json.dumps(meta, indent=1) + "\n", encoding="utf-8")
     return values, mask, meta
@@ -209,15 +214,18 @@ def hopf_report(kind: str, theta) -> dict:
 # validation suites (runtime self-checks; the pytest suite is independent)
 # ---------------------------------------------------------------------------
 
+def _state_concurrence(kind: str, thetas: np.ndarray) -> np.ndarray:
+    # ten calls bound the memory of the Jacobians that prepare_state builds alongside
+    return np.concatenate([geometry.concurrence(ansatz.prepare_state(kind, part))
+                           for part in np.split(thetas, 10)])
+
+
 def _suite_concurrence(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for kind in ansatz.ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(10_000, ansatz.param_count(kind)))
         closed = ansatz.concurrence_closed(kind, thetas)
-        # 1,000 samples per call bounds the memory of the Jacobians built alongside
-        brute = np.concatenate([geometry.concurrence(ansatz.prepare_state(kind, part))
-                                for part in np.split(thetas, 10)])
-        worst = max(worst, float(np.abs(closed - brute).max()))
+        worst = max(worst, float(np.abs(closed - _state_concurrence(kind, thetas)).max()))
     return worst <= 1e-9, f"max |closed - brute| = {worst:.3e} (tol 1e-9)"
 
 
@@ -247,7 +255,7 @@ def _suite_curvature(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for kind in ansatz.ANSATZE:
         thetas = rng.uniform(0, 2 * np.pi, size=(10_000, ansatz.param_count(kind)))
-        c = np.asarray(ansatz.concurrence_closed(kind, thetas))
+        c = _state_concurrence(kind, thetas)  # not the closed form that the curvature uses
         keep = c <= 0.99
         r_circ = np.asarray(ansatz.ricci_circuit_grid(kind, thetas))[keep]
         r_closed = geometry.ricci_closed(c[keep])

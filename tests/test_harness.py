@@ -210,22 +210,23 @@ def test_grid_writer_matches_per_cell_reference_on_pole_scans(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(POLE_LAYOUTS))
-def test_parameter_major_scan_grid_is_bit_identical_to_the_cell_major_copy(monkeypatch, kind):
-    compute = ansatz.ricci_circuit_grid
-    seen = []
-    monkeypatch.setattr(harness.ansatz, "ricci_circuit_grid",
-                        lambda kind, theta: seen.append(compute(kind, theta)) or seen[-1])
-    n = 201
-    axis = np.linspace(0.0, 2.0 * np.pi, n)
-    for (a, b), fixed in _pole_scans(kind):
-        harness.scan_landscape(kind, (a, b), fixed_theta=fixed, resolution=n)
-        # the (n, n, m) copy that the scan built before it went parameter-major
-        cell_major = np.broadcast_to(fixed, (n, n, len(fixed))).copy()
-        cell_major[:, :, a] = axis[:, None]
-        cell_major[:, :, b] = axis[None, :]
-        expected = compute(kind, cell_major)
-        assert (expected < -5.0).any()
-        assert seen.pop().tobytes() == expected.tobytes()
+def test_row_blocked_scan_is_bit_identical_to_one_whole_grid_call(kind):
+    lo, hi = harness.DEFAULT_CLIP
+    # below one block, an exact multiple of the block, and a short tail block
+    assert 5 < harness._ROW_BLOCK and 201 % harness._ROW_BLOCK
+    for n in (2, 5, 2 * harness._ROW_BLOCK, 201):
+        axis = np.linspace(0.0, 2.0 * np.pi, n)
+        for (a, b), fixed in _pole_scans(kind):
+            values, mask, _ = harness.scan_landscape(kind, (a, b), fixed_theta=fixed, resolution=n)
+            # the whole cell-major (n, n, m) grid in one closed-form call, as before row blocks
+            cell_major = np.broadcast_to(fixed, (n, n, len(fixed))).copy()
+            cell_major[:, :, a] = axis[:, None]
+            cell_major[:, :, b] = axis[None, :]
+            raw = ansatz.ricci_circuit_grid(kind, cell_major)
+            assert values.tobytes() == np.clip(raw, lo, hi).tobytes()
+            assert mask.tobytes() == ((raw < lo) | (raw > hi)).tobytes()
+            if n == 201:
+                assert (raw < lo).any() and not mask.all()
 
 
 def test_cli_scan_with_dotted_prefix_keeps_the_dot(tmp_path, capsys):
@@ -251,6 +252,16 @@ def test_grid_writer_holds_one_row_of_python_objects(tmp_path):
     assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "grid.csv", grid) < 1.0
 
 
+def test_landscape_scan_memory_is_bounded_by_its_output(tmp_path):
+    # the 801 x 801 values are 5 MB; building the whole (m, n, n) parameter grid and the
+    # closed form's whole-grid intermediates peaked at about 54 MB
+    fixed = np.array([HALF_PI, HALF_PI, 0.0, 0.0, 0.0, 0.0])
+    peak = _traced_peak_mb(lambda: harness.scan_landscape(
+        "shea", (2, 3), fixed_theta=fixed, resolution=801, out_prefix=tmp_path / "pole"))
+    assert peak <= 12.0
+    assert (tmp_path / "pole_mask.csv").exists()
+
+
 def test_hopf_suite_memory_stays_chunked():
     # one hopf_fiber call over all 10,000 states peaks at about 6.7 MB
     suite = dict(harness.VALIDATION_SUITES)["hopf-invariants"]
@@ -266,6 +277,22 @@ def test_landscape_validation():
         harness.scan_landscape("hea", (0, 1), resolution=1)
     with pytest.raises(ValueError):
         harness.scan_landscape("hea", (0, 1), clip=(4.0, 4.0))
+
+
+def test_non_finite_fixed_value_fails_before_any_file_is_written(tmp_path, capsys):
+    n = 3 * harness._ROW_BLOCK + 5  # several row blocks
+    prefix = tmp_path / "scan" / "bad"
+    for value in (np.nan, np.inf):
+        fixed = np.array([0.0, 0.0, value, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            harness.scan_landscape("hea", (0, 1), fixed_theta=fixed, resolution=n,
+                                   out_prefix=prefix)
+    capsys.readouterr()
+    assert main(["scan-landscape", "--ansatz", "hea", "--fix", "3=nan", "--grid", str(n),
+                 "--out", str(prefix)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- hopf report ---
@@ -310,6 +337,21 @@ def test_validation_mutation_negative_control(monkeypatch):
     suite = dict(harness.VALIDATION_SUITES)["concurrence-equivalence"]
     ok, detail = suite(np.random.default_rng(0))
     assert not ok
+
+
+def test_curvature_suite_catches_a_perturbed_closed_form(monkeypatch):
+    # the curvature and the closed-form concurrence share ansatz._concurrence, so the
+    # suite must take C from the prepared states to see a fault in it
+    original = ansatz._concurrence
+
+    def perturbed(kind, t):
+        c = original(kind, t)
+        return np.clip(c * (1 + 1e-6), 0.0, 1.0) if kind == ansatz.SHEA else c
+
+    monkeypatch.setattr(ansatz, "_concurrence", perturbed)
+    suite = dict(harness.VALIDATION_SUITES)["curvature-consistency"]
+    ok, detail = suite(np.random.default_rng(7))
+    assert not ok, detail
 
 
 def test_cli_hopf_and_exit_codes(tmp_path, capsys):
