@@ -23,7 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run-vqe", help="multi-trial VQE with trace CSVs and summary JSON")
     run.add_argument("--ansatz", required=True, choices=ansatz.ANSATZE)
     run.add_argument("--hamiltonian", required=True,
-                     help="Hamiltonian JSON path, or bundled name 'entangled'/'product'")
+                     help="Hamiltonian JSON path, or bundled name "
+                          + "/".join(repr(name) for name in vqe.BUNDLED))
     run.add_argument("--optimizer", default="gd", choices=(optimize.GD, optimize.QNG))
     run.add_argument("--metric", default="block", choices=("dense", "block", "diag"))
     run.add_argument("--inversion", default="pinv", choices=("pinv", "tikhonov"))
@@ -56,22 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_hamiltonian_path(arg: str) -> str:
-    if arg in ("entangled", "product"):
-        return str(vqe.bundled_path(arg))
-    return arg
-
-
 def _cmd_run_vqe(args) -> int:
     # both policies are built so that a bad --rcond or --epsilon is refused either way
     policies = dict(pinv=qgt.PseudoInverse(args.rcond), tikhonov=qgt.Tikhonov(args.epsilon))
     opt = optimize.OptConfig(learning_rate=args.lr, max_steps=args.steps, tol=args.tol,
                              optimizer=args.optimizer, metric_mode=args.metric,
                              inversion=policies[args.inversion], seed=args.seed)
-    config = harness.ExperimentConfig(kind=args.ansatz, opt=opt,
-                                      hamiltonian_path=_resolve_hamiltonian_path(args.hamiltonian),
-                                      trials=args.trials, out_dir=args.out)
-    summary = harness.run_vqe_experiment(config)
+    hamiltonian = (vqe.load_bundled(args.hamiltonian) if args.hamiltonian in vqe.BUNDLED
+                   else vqe.Hamiltonian.from_json(args.hamiltonian))
+    summary = harness.run_vqe_experiment(args.ansatz, hamiltonian, opt, args.trials, args.out)
     med = summary["median_steps_to_threshold"]
     print(f"wrote {args.trials} trace files and summary.json to {args.out}")
     print(f"reached {summary['threshold']:g} Ha error in "

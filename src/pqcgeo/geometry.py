@@ -257,6 +257,7 @@ def ricci_closed(c) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 MetricFn = Callable[[np.ndarray], np.ndarray]
+FD_STEP = 1e-4  # central-difference step of the numeric tensor calculus
 
 
 def _metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -266,11 +267,11 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def christoffel(metric: MetricFn, point, h: float = 1e-4) -> np.ndarray:
+def christoffel(metric: MetricFn, point) -> np.ndarray:
     """Christoffel symbols Gamma^c_ab = 1/2 g^{cd} (g_da,b + g_db,a - g_ab,d).
 
-    Partial derivatives of the metric are central differences of step h. The
-    returned array is indexed [c, a, b] and is symmetric in (a, b).
+    Partial derivatives of the metric are central differences of step
+    FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
     point = np.asarray(point, dtype=float)
     d = point.size
@@ -278,29 +279,28 @@ def christoffel(metric: MetricFn, point, h: float = 1e-4) -> np.ndarray:
     dg = np.empty((d, d, d))
     for k in range(d):
         xp, xm = point.copy(), point.copy()
-        xp[k] += h
-        xm[k] -= h
-        dg[k] = (np.asarray(metric(xp), float) - np.asarray(metric(xm), float)) / (2.0 * h)
+        xp[k] += FD_STEP
+        xm[k] -= FD_STEP
+        dg[k] = (np.asarray(metric(xp), float) - np.asarray(metric(xm), float)) / (2.0 * FD_STEP)
     gam = 0.5 * (np.einsum("cd,bda->cab", ginv, dg)
                  + np.einsum("cd,adb->cab", ginv, dg)
                  - np.einsum("cd,dab->cab", ginv, dg))
     return 0.5 * (gam + np.swapaxes(gam, 1, 2))
 
 
-def scalar_curvature_numeric(metric: MetricFn, point, h: float = 1e-4,
-                             richardson: bool = True) -> float:
+def scalar_curvature_numeric(metric: MetricFn, point) -> float:
     """Scalar curvature by nested central differencing of the Christoffel symbols.
 
     R = g^{ab} (Gamma^c_ab,c - Gamma^c_ac,b
                 + Gamma^d_ab Gamma^c_cd - Gamma^d_ac Gamma^c_bd)
 
-    The outer derivative uses steps (h, h/2) combined by Richardson
-    extrapolation when ``richardson`` is set.
+    The outer derivative uses steps (FD_STEP, FD_STEP/2) combined by
+    Richardson extrapolation.
     """
     point = np.asarray(point, dtype=float)
     d = point.size
     ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
-    gam = christoffel(metric, point, h)
+    gam = christoffel(metric, point)
 
     def dgamma(step: float) -> np.ndarray:
         out = np.empty((d, d, d, d))
@@ -308,12 +308,10 @@ def scalar_curvature_numeric(metric: MetricFn, point, h: float = 1e-4,
             xp, xm = point.copy(), point.copy()
             xp[k] += step
             xm[k] -= step
-            out[k] = (christoffel(metric, xp, h) - christoffel(metric, xm, h)) / (2.0 * step)
+            out[k] = (christoffel(metric, xp) - christoffel(metric, xm)) / (2.0 * step)
         return out
 
-    dgam = dgamma(h)
-    if richardson:
-        dgam = (4.0 * dgamma(h / 2.0) - dgam) / 3.0
+    dgam = (4.0 * dgamma(FD_STEP / 2.0) - dgamma(FD_STEP)) / 3.0
     r = (np.einsum("ab,ccab->", ginv, dgam)
          - np.einsum("ab,bcac->", ginv, dgam)
          + np.einsum("ab,dab,ccd->", ginv, gam, gam)

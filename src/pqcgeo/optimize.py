@@ -8,6 +8,7 @@ maximally entangled passes yield large negative finite values).
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ GD = "gd"
 QNG = "qng"
 
 RICCI_CLAMP = 1.0 - 1e-9
+CHEMICAL_ACCURACY = 1e-3  # Ha; the steps-to-threshold target of a run summary
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,10 @@ class OptConfig:
             raise ValueError("tol must be positive")
         if self.optimizer not in (GD, QNG):
             raise ValueError(f"optimizer must be '{GD}' or '{QNG}'")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "metric_mode", qgt.canonical_mode(self.metric_mode))
 
 
@@ -138,7 +144,7 @@ def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0,
 def initial_parameters(kind: str, config: OptConfig, trial: int) -> np.ndarray:
     """Seeded uniform [0, 2 pi) initialization; trial k derives its own stream
     from (seed, k) so trials are reproducible independently of execution order."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), int(trial))))
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, int(trial))))
     return ansatz.random_parameters(kind, rng)
 
 
@@ -147,12 +153,13 @@ def run_trials(kind: str, hamiltonian: Hamiltonian, config: OptConfig,
     """Independent trials with per-trial derived seeds, advanced together in lock
     step. A failing trial aborts the whole batch rather than being dropped silently."""
     if n_trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError(f"trial count must be at least 1, got {n_trials!r}")
     theta0 = np.array([initial_parameters(kind, config, k) for k in range(n_trials)])
     return _run_batch(kind, hamiltonian, theta0, config)
 
 
-def steps_to_threshold(trace: list[TraceRecord], threshold: float = 1e-3) -> int | None:
+def steps_to_threshold(trace: list[TraceRecord],
+                       threshold: float = CHEMICAL_ACCURACY) -> int | None:
     """First step index with energy_error <= threshold, or None if never reached."""
     for rec in trace:
         if rec.energy_error <= threshold:

@@ -14,6 +14,7 @@ Two instances ship as package data:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from importlib import resources
@@ -46,12 +47,16 @@ class Hamiltonian:
             raise ValueError(f"expected 6 coefficients, got {len(self.nu)}")
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.nu):
             raise ValueError("Hamiltonian coefficients must be real numbers")
-        if not all(np.isfinite(v) for v in self.nu):
+        try:
+            nu = tuple(float(v) for v in self.nu)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValueError("Hamiltonian coefficients must be finite") from exc
+        if not all(math.isfinite(v) for v in nu):
             raise ValueError("Hamiltonian coefficients must be finite")
-        if max(abs(v) for v in self.nu) > NU_MAX:
+        if max(abs(v) for v in nu) > NU_MAX:
             raise ValueError(f"Hamiltonian coefficients too large: above {NU_MAX:.3g} a run "
                              "overflows its energies, gradients or summary statistics")
-        object.__setattr__(self, "nu", tuple(float(v) for v in self.nu))
+        object.__setattr__(self, "nu", nu)
         matrix = self.observable().matrix()
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
@@ -80,21 +85,16 @@ class Hamiltonian:
             return cls.from_dict(json.load(f))
 
 
-_BUNDLED = {"entangled": "h2_entangled.json", "product": "h2_product.json"}
+# bundled Hamiltonian name -> its JSON file under pqcgeo/data
+BUNDLED = {"entangled": "h2_entangled.json", "product": "h2_product.json"}
 
 
 def load_bundled(name: str) -> Hamiltonian:
     """Load a bundled instance: 'entangled' or 'product'."""
-    if name not in _BUNDLED:
-        raise ValueError(f"unknown bundled Hamiltonian {name!r}; expected {tuple(_BUNDLED)}")
-    text = resources.files("pqcgeo").joinpath("data", _BUNDLED[name]).read_text(encoding="utf-8")
+    if name not in BUNDLED:
+        raise ValueError(f"unknown bundled Hamiltonian {name!r}; expected {tuple(BUNDLED)}")
+    text = resources.files("pqcgeo").joinpath("data", BUNDLED[name]).read_text(encoding="utf-8")
     return Hamiltonian.from_dict(json.loads(text))
-
-
-def bundled_path(name: str) -> Path:
-    if name not in _BUNDLED:
-        raise ValueError(f"unknown bundled Hamiltonian {name!r}; expected {tuple(_BUNDLED)}")
-    return Path(str(resources.files("pqcgeo").joinpath("data", _BUNDLED[name])))
 
 
 def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> np.ndarray | float:

@@ -246,10 +246,7 @@ def test_criterion_9_determinism(tmp_path):
     opt = optimize.OptConfig(optimizer="qng", metric_mode="block", max_steps=60, seed=SEED)
     outs = []
     for sub in ("first", "second"):
-        config = harness.ExperimentConfig(kind=LDCA, opt=opt,
-                                          hamiltonian_path=vqe.bundled_path("entangled"),
-                                          trials=5, out_dir=tmp_path / sub)
-        harness.run_vqe_experiment(config)
+        harness.run_vqe_experiment(LDCA, vqe.load_bundled("entangled"), opt, 5, tmp_path / sub)
         outs.append(tmp_path / sub)
     same = all((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
                for name in [f"trial_{k:03d}.csv" for k in range(5)] + ["summary.json"])

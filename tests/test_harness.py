@@ -7,25 +7,15 @@ import pytest
 from pqcgeo import ansatz, harness, optimize, vqe
 from pqcgeo.cli import main
 
-ENTANGLED = str(vqe.bundled_path("entangled"))
-
-
-def _experiment(tmp_path, **kw):
-    defaults = dict(optimizer="qng", metric_mode="block", max_steps=25, seed=9)
-    defaults.update(kw.pop("opt", {}))
-    return harness.ExperimentConfig(
-        kind=kw.pop("kind", "ldca"),
-        opt=optimize.OptConfig(**defaults),
-        hamiltonian_path=ENTANGLED,
-        trials=kw.pop("trials", 2),
-        out_dir=tmp_path,
-        **kw,
-    )
+def _experiment(out_dir, trials=2, opt=None):
+    settings = dict(optimizer="qng", metric_mode="block", max_steps=25, seed=9)
+    settings.update(opt or {})
+    return harness.run_vqe_experiment("ldca", vqe.load_bundled("entangled"),
+                                      optimize.OptConfig(**settings), trials, out_dir)
 
 
 def test_single_trial_single_step_csv_shape(tmp_path):
-    config = _experiment(tmp_path, trials=1, opt=dict(max_steps=1, tol=np.inf))
-    harness.run_vqe_experiment(config)
+    _experiment(tmp_path, trials=1, opt=dict(max_steps=1, tol=np.inf))
     lines = (tmp_path / "trial_000.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + initial point + one step
     header = lines[0].split(",")
@@ -37,14 +27,13 @@ def test_single_trial_single_step_csv_shape(tmp_path):
 def test_rerun_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
-        harness.run_vqe_experiment(_experiment(out, trials=3))
+        _experiment(out, trials=3)
     for name in ("trial_000.csv", "trial_001.csv", "trial_002.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_summary_schema_and_padding(tmp_path):
-    config = _experiment(tmp_path, trials=3, opt=dict(max_steps=30, tol=1e-4))
-    summary = harness.run_vqe_experiment(config)
+    summary = _experiment(tmp_path, trials=3, opt=dict(max_steps=30, tol=1e-4))
     data = json.loads((tmp_path / "summary.json").read_text())
     for key in ("ansatz", "optimizer", "metric_mode", "steps", "energy_error_mean",
                 "energy_error_std", "concurrence_mean", "concurrence_std",
@@ -76,8 +65,8 @@ def test_partial_trial_failure_aborts(tmp_path, monkeypatch):
 
     monkeypatch.setattr(optimize, "energy", one_row_non_finite)
     with pytest.raises(RuntimeError, match="non-finite energy"):
-        harness.run_vqe_experiment(_experiment(tmp_path, trials=3))
-    assert not (tmp_path / "summary.json").exists()
+        _experiment(tmp_path / "out", trials=3)
+    assert not (tmp_path / "out").exists()
 
 
 # --- landscape scans ---
@@ -354,6 +343,24 @@ def test_curvature_suite_catches_a_perturbed_closed_form(monkeypatch):
     assert not ok, detail
 
 
+def test_curvature_and_concurrence_suites_draw_different_points(monkeypatch):
+    seen = {}
+
+    def recording(kind, thetas):
+        seen.setdefault(kind, []).append(thetas.copy())
+        return original(kind, thetas)
+
+    original = harness._state_concurrence
+    monkeypatch.setattr(harness, "_state_concurrence", recording)
+    suites = dict(harness.VALIDATION_SUITES)
+    for name in ("concurrence-equivalence", "curvature-consistency"):
+        suites[name](np.random.default_rng(7))
+    for kind in ansatz.ANSATZE:
+        first, second = seen[kind]
+        assert first.shape == second.shape == (10_000, ansatz.param_count(kind))
+        assert not np.isin(first, second).any(), kind
+
+
 def test_cli_hopf_and_exit_codes(tmp_path, capsys):
     assert main(["hopf", "--ansatz", "hea", "--theta", "0,0,0,0"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -399,6 +406,45 @@ def test_cli_rejects_non_finite_step_and_inversion_settings(tmp_path, capsys, fl
     assert not (tmp_path / "run" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--seed", "-1"],
+    ["--trials", "0"],
+    ["--hamiltonian", "entangeld"],
+    ["--hamiltonian", "missing.json"],
+    ["--hamiltonian", "huge.json"],
+])
+def test_refused_run_vqe_leaves_out_untouched(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.json").write_text('{"nu": [%d, 0, 0, 0, 0, 0]}' % 10**400)
+    argv = ["run-vqe", "--ansatz", "ldca", "--hamiltonian", "entangled", "--trials", "1",
+            "--steps", "2", "--seed", "0", "--out", "run"]
+    flag = argv.index(args[0])
+    argv[flag + 1] = args[1]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "run").exists()
+    if args[0] == "--seed":
+        assert "seed must be a non-negative integer, got -1" in err[0]
+
+
+def test_bundled_name_and_its_json_file_give_identical_runs(tmp_path):
+    # the same Hamiltonian through vqe.load_bundled and through Hamiltonian.from_json
+    path = tmp_path / "entangled.json"
+    path.write_text(json.dumps(vqe.load_bundled("entangled").to_dict()))
+    outs = []
+    for source in ("entangled", str(path)):
+        outs.append(tmp_path / f"run{len(outs)}")
+        assert main(["run-vqe", "--ansatz", "qgan", "--hamiltonian", source,
+                     "--optimizer", "qng", "--trials", "3", "--steps", "20", "--seed", "5",
+                     "--out", str(outs[-1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["summary.json", "trial_000.csv", "trial_001.csv", "trial_002.csv"]
+    assert sorted(p.name for p in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_run_vqe_and_scan(tmp_path, capsys):
     rc = main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", "entangled",
                "--optimizer", "qng", "--metric", "diag", "--trials", "2",
@@ -416,8 +462,8 @@ def test_cli_run_vqe_and_scan(tmp_path, capsys):
 
 
 def test_rerun_with_fewer_trials_removes_stale_trial_files(tmp_path):
-    harness.run_vqe_experiment(_experiment(tmp_path, trials=3))
-    harness.run_vqe_experiment(_experiment(tmp_path, trials=1))
+    _experiment(tmp_path, trials=3)
+    _experiment(tmp_path, trials=1)
     assert sorted(p.name for p in tmp_path.glob("trial_*.csv")) == ["trial_000.csv"]
 
 
@@ -491,7 +537,7 @@ def test_cli_boundary_property_scan_and_hamiltonian_json(tmp_path):
         assert _exit_code(argv) in (0, 2), argv
 
     bad_values = [None, "1", True, [], {}, [1.0], float("nan"), float("inf"), -float("inf"),
-                  1e308, -1e308]
+                  1e308, -1e308, 10**400, -(10**400)]
     nu = [-0.71, 0.018, -0.018, 0.01, 0.3, 0.3]
     path = tmp_path / "ham.json"
     for _ in range(200):

@@ -23,6 +23,18 @@ def test_config_validation():
     assert OptConfig(metric_mode="diagonal").metric_mode == "diag"
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 and True used to run silently as seed 1
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        OptConfig(seed=seed)
+
+
+def test_config_seed_accepts_numpy_integers_as_int():
+    seed = OptConfig(seed=np.int64(3)).seed
+    assert seed == 3 and type(seed) is int
+
+
 def test_step_gd_fixed_point_and_arithmetic():
     cfg = _cfg()
     theta = np.array([1.0, 1.0])

@@ -124,8 +124,9 @@ def test_hamiltonian_rejects_bad_nu(tmp_path):
     path.write_text(json.dumps({"nu": [1, 2, 3], "label": "short"}))
     with pytest.raises(ValueError, match="exactly 6"):
         vqe.Hamiltonian.from_json(path)
-    with pytest.raises(ValueError, match="finite"):
-        vqe.Hamiltonian(nu=(np.inf, 0, 0, 0, 0, 0))
+    for big in (np.inf, 10**400, -(10**400)):  # the integers overflow float()
+        with pytest.raises(ValueError, match="finite"):
+            vqe.Hamiltonian(nu=(big, 0, 0, 0, 0, 0))
     for bad in (None, "1", True):
         with pytest.raises(ValueError, match="real numbers"):
             vqe.Hamiltonian.from_dict({"nu": [bad, 0, 0, 0, 0, 0]})
