@@ -28,8 +28,8 @@ for kind in (ansatz.LDCA, ansatz.HEA, ansatz.SHEA, ansatz.QGAN, ansatz.QGAN_AUG)
         stt = [optimize.steps_to_threshold(t, 1e-3) for t in traces]
         reached = sum(s is not None for s in stt)
         med = float(np.median([s if s is not None else math.inf for s in stt]))
-        final_c = np.mean([t[-1].concurrence for t in traces])
-        final_r = np.mean([t[-1].ricci for t in traces])
+        final_c = np.mean([t.concurrence[-1] for t in traces])
+        final_r = np.mean([t.ricci[-1] for t in traces])
         print(f"{kind:>9s} {opt + '-' + mode:>10s}  {reached:3d}/{TRIALS:<3d} "
               f"{med if math.isfinite(med) else float('nan'):10.1f}  "
               f"{final_c:8.3f} {final_r:+9.1f}")
@@ -38,6 +38,6 @@ print("\ncurvature along one ldca natural-gradient path:")
 cfg = optimize.OptConfig(optimizer="qng", metric_mode="block", seed=17)
 trace = optimize.run_optimization(ansatz.LDCA, ham,
                                   optimize.initial_parameters(ansatz.LDCA, cfg, 0), cfg)
-for rec in trace[:: max(1, len(trace) // 10)]:
-    print(f"  step {rec.step:3d}: error {rec.energy_error:9.2e}  C {rec.concurrence:.4f}  "
-          f"R {rec.ricci:+10.1f}")
+for t in range(0, len(trace), max(1, len(trace) // 10)):
+    print(f"  step {t:3d}: error {trace.energy_error[t]:9.2e}  C {trace.concurrence[t]:.4f}  "
+          f"R {trace.ricci[t]:+10.1f}")

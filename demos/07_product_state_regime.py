@@ -17,9 +17,9 @@ print(f"ground amplitudes: {np.round(np.abs(gt.state) ** 2, 8)}\n")
 
 cfg = optimize.OptConfig(optimizer="qng", metric_mode="block", seed=23)
 traces = optimize.run_trials(ansatz.LDCA, ham, cfg, 20)
-start_c = np.mean([t[0].concurrence for t in traces])
-end_c = np.mean([t[-1].concurrence for t in traces])
-end_r = np.mean([t[-1].ricci for t in traces])
+start_c = np.mean([t.concurrence[0] for t in traces])
+end_c = np.mean([t.concurrence[-1] for t in traces])
+end_r = np.mean([t.ricci[-1] for t in traces])
 reached = sum(optimize.steps_to_threshold(t, 1e-3) is not None for t in traces)
 print(f"ldca + qng(block), 20 trials: {reached}/20 reach 1e-3 Ha")
 print(f"mean concurrence {start_c:.3f} (start) -> {end_c:.5f} (end)")
@@ -28,6 +28,6 @@ print(f"mean final curvature {end_r:+.3f} (hill top is +10)")
 print("\none trace, decimated:")
 trace = optimize.run_optimization(ansatz.LDCA, ham,
                                   optimize.initial_parameters(ansatz.LDCA, cfg, 4), cfg)
-for rec in trace[:: max(1, len(trace) // 8)]:
-    print(f"  step {rec.step:3d}: error {rec.energy_error:9.2e}  C {rec.concurrence:.4f}  "
-          f"R {rec.ricci:+8.2f}")
+for t in range(0, len(trace), max(1, len(trace) // 8)):
+    print(f"  step {t:3d}: error {trace.energy_error[t]:9.2e}  C {trace.concurrence[t]:.4f}  "
+          f"R {trace.ricci[t]:+8.2f}")

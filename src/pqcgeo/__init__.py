@@ -27,7 +27,7 @@ from .geometry import (
     ricci_closed,
     scalar_curvature_numeric,
 )
-from .optimize import OptConfig, TraceRecord, run_optimization, run_trials
+from .optimize import OptConfig, Trace, run_optimization, run_trials
 from .qgt import PseudoInverse, Tikhonov, fs_metric, invert_metric, qgt_full
 from .simulator import (
     GateSpec,
@@ -48,7 +48,7 @@ __all__ = [
     "state_jacobian",
     "SingularityError", "concurrence", "hopf_base", "hopf_fiber", "mfs_metric",
     "resolve_chart_convention", "ricci_closed", "scalar_curvature_numeric",
-    "OptConfig", "TraceRecord", "run_optimization", "run_trials",
+    "OptConfig", "Trace", "run_optimization", "run_trials",
     "PseudoInverse", "Tikhonov", "fs_metric", "invert_metric", "qgt_full",
     "GateSpec", "PauliObservable", "apply_gate", "basis_state", "expectation",
     "fidelity_up_to_phase", "gate_unitary",

@@ -63,8 +63,14 @@ def _cmd_run_vqe(args) -> int:
     opt = optimize.OptConfig(learning_rate=args.lr, max_steps=args.steps, tol=args.tol,
                              optimizer=args.optimizer, metric_mode=args.metric,
                              inversion=policies[args.inversion], seed=args.seed)
-    hamiltonian = (vqe.load_bundled(args.hamiltonian) if args.hamiltonian in vqe.BUNDLED
-                   else vqe.Hamiltonian.from_json(args.hamiltonian))
+    if args.hamiltonian in vqe.BUNDLED:
+        hamiltonian = vqe.load_bundled(args.hamiltonian)
+    else:
+        try:
+            hamiltonian = vqe.Hamiltonian.from_json(args.hamiltonian)
+        except FileNotFoundError:
+            raise ValueError(f"--hamiltonian {args.hamiltonian!r}: no such file, and not a "
+                             f"bundled name {tuple(vqe.BUNDLED)}") from None
     summary = harness.run_vqe_experiment(args.ansatz, hamiltonian, opt, args.trials, args.out)
     med = summary["median_steps_to_threshold"]
     print(f"wrote {args.trials} trace files and summary.json to {args.out}")
@@ -125,8 +131,8 @@ def main(argv=None) -> int:
         if args.command == "hopf":
             return _cmd_hopf(args)
         return _cmd_validate()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -9,7 +9,7 @@ a loaded vqe.Hamiltonian; its per-trial traces use the fixed column set
     step, energy, energy_error, concurrence, ricci, grad_norm, theta_1 .. theta_m
 
 and the run summary JSON carries per-step mean/std across trials (shorter
-traces are padded by carrying their final record forward), the per-trial
+traces are padded by carrying their final row forward), the per-trial
 steps-to-threshold statistics and QNG fallback counts, and the inversion policy.
 """
 from __future__ import annotations
@@ -29,41 +29,24 @@ DEFAULT_CLIP = (-5.0, 10.0)
 _ROW_BLOCK = 32  # grid rows per closed-form call of a landscape scan
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_trace_csv(path: Path, trace: list[optimize.TraceRecord]) -> None:
-    m = len(trace[0].theta)
+def write_trace_csv(path: Path, trace: optimize.Trace) -> None:
     header = ["step", "energy", "energy_error", "concurrence", "ricci",
-              "grad_norm"] + [f"theta_{j + 1}" for j in range(m)]
-    lines = [",".join(header)]
-    for rec in trace:
-        row = [str(rec.step), _fmt(rec.energy), _fmt(rec.energy_error),
-               _fmt(rec.concurrence), _fmt(rec.ricci),
-               _fmt(rec.grad_norm)] + [_fmt(v) for v in rec.theta]
-        lines.append(",".join(row))
+              "grad_norm"] + [f"theta_{j + 1}" for j in range(trace.theta.shape[1])]
+    table = np.column_stack([trace.energy, trace.energy_error, trace.concurrence, trace.ricci,
+                             trace.grad_norm, trace.theta]).tolist()
+    lines = [",".join(header)] + [",".join([str(step), *map(repr, row)])
+                                  for step, row in enumerate(table)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _padded_series(traces, attr: str, n_steps: int) -> np.ndarray:
-    out = np.empty((len(traces), n_steps + 1))
-    for i, trace in enumerate(traces):
-        vals = [getattr(rec, attr) for rec in trace]
-        vals += [vals[-1]] * (n_steps + 1 - len(vals))
-        out[i] = vals
-    return out
-
-
-def summarize(traces, config: optimize.OptConfig) -> dict:
+def summarize(traces: list[optimize.Trace], config: optimize.OptConfig) -> dict:
     n_steps = config.max_steps
     summary: dict = {"steps": list(range(n_steps + 1))}
-    for attr, key in (("energy_error", "energy_error"),
-                      ("concurrence", "concurrence"),
-                      ("ricci", "ricci")):
-        series = _padded_series(traces, attr, n_steps)
-        summary[f"{key}_mean"] = [float(v) for v in series.mean(axis=0)]
-        summary[f"{key}_std"] = [float(v) for v in series.std(axis=0)]
+    for key in ("energy_error", "concurrence", "ricci"):
+        series = np.array([np.pad(getattr(t, key), (0, n_steps + 1 - len(t)), mode="edge")
+                           for t in traces])
+        summary[f"{key}_mean"] = series.mean(axis=0).tolist()
+        summary[f"{key}_std"] = series.std(axis=0).tolist()
     stt = [optimize.steps_to_threshold(t) for t in traces]
     summary["threshold"] = optimize.CHEMICAL_ACCURACY
     summary["steps_to_threshold"] = stt
@@ -99,8 +82,8 @@ def run_vqe_experiment(kind: str, hamiltonian: vqe.Hamiltonian, opt: optimize.Op
         "tol": opt.tol,
         "max_steps": opt.max_steps,
         "seed": opt.seed,
-        "trials": trials,
-        "qng_fallback_steps": [sum(rec.qng_fallback for rec in trace) for trace in traces],
+        "trials": len(traces),
+        "qng_fallback_steps": [int(trace.qng_fallback.sum()) for trace in traces],
         "hamiltonian": {"label": hamiltonian.label, "nu": list(hamiltonian.nu),
                         "ground_energy": ground.energy,
                         "ground_concurrence": ground.concurrence},

@@ -24,6 +24,12 @@ RICCI_CLAMP = 1.0 - 1e-9
 CHEMICAL_ACCURACY = 1e-3  # Ha; the steps-to-threshold target of a run summary
 
 
+def _integer(value, least: int, message: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OptConfig:
     learning_rate: float = 0.05
@@ -38,29 +44,32 @@ class OptConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        object.__setattr__(self, "max_steps", _integer(
+            self.max_steps, 1, "max_steps must be an integer of at least 1"))
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.optimizer not in (GD, QNG):
             raise ValueError(f"optimizer must be '{GD}' or '{QNG}'")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
-                or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(
+            self.seed, 0, "seed must be a non-negative integer"))
         object.__setattr__(self, "metric_mode", qgt.canonical_mode(self.metric_mode))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    step: int
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One trial's run: row t of every array is step t. theta is (n, m), the rest
+    (n,); qng_fallback[t] marks a QNG update to step t that took a plain gradient
+    step because its metric had no usable spectrum (never at step 0 or under GD)."""
     theta: np.ndarray
-    energy: float
-    energy_error: float
-    concurrence: float
-    ricci: float
-    grad_norm: float
-    qng_fallback: bool = False
+    energy: np.ndarray
+    energy_error: np.ndarray
+    concurrence: np.ndarray
+    ricci: np.ndarray
+    grad_norm: np.ndarray
+    qng_fallback: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.energy)
 
 
 def step_gd(theta: np.ndarray, grad: np.ndarray, config: OptConfig) -> np.ndarray:
@@ -89,7 +98,7 @@ def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
 
 
 def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
-               config: OptConfig) -> list[list[TraceRecord]]:
+               config: OptConfig) -> list[Trace]:
     """Advance a (B, m) stack of starting points in lock step; one trace per row.
 
     Each step evaluates the ansatz once for the rows still running and derives
@@ -98,7 +107,7 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
-    traces: list[list[TraceRecord]] = [[] for _ in theta]
+    blocks = []  # one per step, of its running rows: memory follows the steps run
     active = np.arange(len(theta))
     e_prev = np.full(len(theta), np.nan)  # no energy change is below tol at step 0
     fallback = np.zeros(len(theta), dtype=bool)
@@ -109,11 +118,9 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
         if not np.all(np.isfinite(e)):
             raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)][0]!r} at step {step}")
         c = concurrence(psi)
-        columns = zip(active.tolist(), theta, e.tolist(), (e - ground.energy).tolist(),
-                      c.tolist(), ricci_closed(np.minimum(c, RICCI_CLAMP)).tolist(),
-                      np.sqrt(np.vecdot(grad, grad)).tolist(), fallback.tolist())
-        for k, th, *values in columns:
-            traces[k].append(TraceRecord(step, th.copy(), *values))
+        blocks.append((active, theta, np.stack([e, e - ground.energy, c,
+                                                 ricci_closed(np.minimum(c, RICCI_CLAMP)),
+                                                 np.sqrt(np.vecdot(grad, grad))]), fallback))
         running = ~(np.abs(e - e_prev) < config.tol)
         if step == config.max_steps or not running.any():
             break
@@ -124,11 +131,18 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
                                      config)
         active, theta, e_prev, fallback = (active[running], new[running], e[running],
                                            fallback[running])
-    return traces
+    rows, thetas, values, fallbacks = zip(*blocks)
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")  # each row's steps together, in step order
+    cuts = np.cumsum(np.bincount(rows))[:-1]  # every row has a step 0
+    return [Trace(th, *vals, fb) for th, vals, fb in zip(
+        np.split(np.concatenate(thetas)[order], cuts),
+        np.split(np.concatenate(values, axis=1)[:, order], cuts, axis=1),
+        np.split(np.concatenate(fallbacks)[order], cuts))]
 
 
 def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0,
-                     config: OptConfig) -> list[TraceRecord]:
+                     config: OptConfig) -> Trace:
     """Iterate until |E_t - E_{t-1}| < tol or max_steps; returns the full trace.
 
     The trace always includes the initial point (step 0). Deterministic for a
@@ -149,19 +163,15 @@ def initial_parameters(kind: str, config: OptConfig, trial: int) -> np.ndarray:
 
 
 def run_trials(kind: str, hamiltonian: Hamiltonian, config: OptConfig,
-               n_trials: int) -> list[list[TraceRecord]]:
+               n_trials: int) -> list[Trace]:
     """Independent trials with per-trial derived seeds, advanced together in lock
     step. A failing trial aborts the whole batch rather than being dropped silently."""
-    if n_trials < 1:
-        raise ValueError(f"trial count must be at least 1, got {n_trials!r}")
+    n_trials = _integer(n_trials, 1, "trial count must be an integer of at least 1")
     theta0 = np.array([initial_parameters(kind, config, k) for k in range(n_trials)])
     return _run_batch(kind, hamiltonian, theta0, config)
 
 
-def steps_to_threshold(trace: list[TraceRecord],
-                       threshold: float = CHEMICAL_ACCURACY) -> int | None:
+def steps_to_threshold(trace: Trace, threshold: float = CHEMICAL_ACCURACY) -> int | None:
     """First step index with energy_error <= threshold, or None if never reached."""
-    for rec in trace:
-        if rec.energy_error <= threshold:
-            return rec.step
-    return None
+    hits = np.flatnonzero(trace.energy_error <= threshold)
+    return int(hits[0]) if hits.size else None

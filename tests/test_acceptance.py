@@ -235,7 +235,7 @@ def test_criterion_7_vqe_qualitative_reproduction():
 def test_criterion_8_product_regime():
     ham = vqe.load_bundled("product")
     _, _, traces = _vqe_stats(LDCA, ham, "qng", "block")
-    good = sum(1 for t in traces if t[-1].concurrence <= 0.05 and t[-1].ricci >= 9.5)
+    good = sum(1 for t in traces if t.concurrence[-1] <= 0.05 and t.ricci[-1] >= 9.5)
     ok = good >= 45
     line = _report(8, "product regime", ok,
                    f"{good}/50 trials end with C <= 0.05 and ricci >= 9.5 (need >= 45)")

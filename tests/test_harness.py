@@ -1,10 +1,12 @@
 import json
+import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from pqcgeo import ansatz, harness, optimize, vqe
+from pqcgeo import ansatz, harness, optimize, qgt, vqe
 from pqcgeo.cli import main
 
 def _experiment(out_dir, trials=2, opt=None):
@@ -33,8 +35,10 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_summary_schema_and_padding(tmp_path):
-    summary = _experiment(tmp_path, trials=3, opt=dict(max_steps=30, tol=1e-4))
+    # a numpy trial count is written as a JSON integer (it used to fail in json.dumps)
+    summary = _experiment(tmp_path, trials=np.int64(3), opt=dict(max_steps=30, tol=1e-4))
     data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["trials"] == 3
     for key in ("ansatz", "optimizer", "metric_mode", "steps", "energy_error_mean",
                 "energy_error_std", "concurrence_mean", "concurrence_std",
                 "ricci_mean", "ricci_std", "steps_to_threshold",
@@ -426,6 +430,24 @@ def test_refused_run_vqe_leaves_out_untouched(tmp_path, capsys, monkeypatch, arg
     assert not (tmp_path / "run").exists()
     if args[0] == "--seed":
         assert "seed must be a non-negative integer, got -1" in err[0]
+    if args[1] == "entangeld":  # the misspelt name is listed with the bundled names
+        assert all(f"'{name}'" in err[0] for name in ("entangeld", "entangled", "product"))
+
+
+def test_scan_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    # a --grid of 100000 asks numpy for 74.5 GiB; the MemoryError is raised here
+    # instead of allocated for real
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(harness, "scan_landscape", out_of_memory)
+    assert main(["scan-landscape", "--ansatz", "hea", "--grid", "100000",
+                 "--out", str(tmp_path / "scan" / "grid")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Unable to allocate 74.5 GiB for an array with shape "
+                   "(100000, 100000) and data type float64"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_bundled_name_and_its_json_file_give_identical_runs(tmp_path):
@@ -565,3 +587,90 @@ def test_cli_boundary_property_scan_and_hamiltonian_json(tmp_path):
         assert code in (0, 2), text
         if code == 0:
             _assert_outputs_finite(tmp_path / "vqe")
+
+
+# --- the record-based trace writer and summary that Trace replaced ---
+
+_Record = namedtuple("_Record", "step theta energy energy_error concurrence ricci grad_norm "
+                                "qng_fallback")
+
+
+def _records(trace):
+    return [_Record(step, theta, *values) for step, (theta, *values) in enumerate(zip(
+        trace.theta, trace.energy.tolist(), trace.energy_error.tolist(),
+        trace.concurrence.tolist(), trace.ricci.tolist(), trace.grad_norm.tolist(),
+        trace.qng_fallback.tolist()))]
+
+
+def _reference_fmt(x):
+    return repr(float(x))
+
+
+def _reference_write_trace_csv(path, trace):
+    m = len(trace[0].theta)
+    header = ["step", "energy", "energy_error", "concurrence", "ricci",
+              "grad_norm"] + [f"theta_{j + 1}" for j in range(m)]
+    lines = [",".join(header)]
+    for rec in trace:
+        row = [str(rec.step), _reference_fmt(rec.energy), _reference_fmt(rec.energy_error),
+               _reference_fmt(rec.concurrence), _reference_fmt(rec.ricci),
+               _reference_fmt(rec.grad_norm)] + [_reference_fmt(v) for v in rec.theta]
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _reference_padded_series(traces, attr, n_steps):
+    out = np.empty((len(traces), n_steps + 1))
+    for i, trace in enumerate(traces):
+        vals = [getattr(rec, attr) for rec in trace]
+        vals += [vals[-1]] * (n_steps + 1 - len(vals))
+        out[i] = vals
+    return out
+
+
+def _reference_steps_to_threshold(trace, threshold=optimize.CHEMICAL_ACCURACY):
+    for rec in trace:
+        if rec.energy_error <= threshold:
+            return rec.step
+    return None
+
+
+def _reference_summarize(traces, config):
+    n_steps = config.max_steps
+    summary = {"steps": list(range(n_steps + 1))}
+    for attr in ("energy_error", "concurrence", "ricci"):
+        series = _reference_padded_series(traces, attr, n_steps)
+        summary[f"{attr}_mean"] = [float(v) for v in series.mean(axis=0)]
+        summary[f"{attr}_std"] = [float(v) for v in series.std(axis=0)]
+    stt = [_reference_steps_to_threshold(t) for t in traces]
+    summary["threshold"] = optimize.CHEMICAL_ACCURACY
+    summary["steps_to_threshold"] = stt
+    summary["reached_fraction"] = sum(s is not None for s in stt) / len(stt)
+    med = float(np.median([s if s is not None else math.inf for s in stt]))
+    summary["median_steps_to_threshold"] = None if math.isinf(med) else med
+    return summary
+
+
+@pytest.mark.parametrize("kind", ansatz.ANSATZE)
+def test_trace_outputs_match_the_record_based_reference(tmp_path, kind):
+    h = vqe.load_bundled("entangled")
+    configs = (optimize.OptConfig(optimizer="qng", max_steps=40, tol=1e-3, seed=6),
+               optimize.OptConfig(optimizer="gd", max_steps=12, tol=1e-12, seed=6),
+               optimize.OptConfig(optimizer="qng", max_steps=20, tol=1e-3, seed=6,
+                                  inversion=qgt.PseudoInverse(rcond=2.0)))
+    lengths, fallbacks = set(), set()
+    for cfg in configs:
+        summary = harness.run_vqe_experiment(kind, h, cfg, 4, tmp_path)
+        records = [_records(t) for t in optimize.run_trials(kind, h, cfg, 4)]
+        for k, recs in enumerate(records):
+            _reference_write_trace_csv(tmp_path / "reference.csv", recs)
+            assert ((tmp_path / f"trial_{k:03d}.csv").read_bytes()
+                    == (tmp_path / "reference.csv").read_bytes()), (cfg, k)
+            lengths.add(len(recs) == cfg.max_steps + 1)
+            fallbacks.update(rec.qng_fallback for rec in recs)
+        assert {k: summary[k] for k in _reference_summarize(records, cfg)} \
+            == _reference_summarize(records, cfg)
+        assert summary["qng_fallback_steps"] == [sum(rec.qng_fallback for rec in recs)
+                                                 for recs in records]
+    # trials that stop early and trials that reach max_steps; rows that fall back
+    assert lengths == {True, False} and fallbacks == {True, False}

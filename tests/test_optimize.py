@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,15 @@ def test_config_validation():
         OptConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         OptConfig(max_steps=0)
+    # 2.5 ended in a TypeError from range(), and True ran as one step
+    for steps in (2.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_steps must be an integer of at least 1"):
+            OptConfig(max_steps=steps)
+    steps = OptConfig(max_steps=np.int64(3)).max_steps
+    assert steps == 3 and type(steps) is int
+    for trials in (2.5, True, 0):
+        with pytest.raises(ValueError, match="trial count must be an integer of at least 1"):
+            optimize.run_trials("hea", vqe.load_bundled("entangled"), OptConfig(), trials)
     with pytest.raises(ValueError):
         OptConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -94,7 +106,7 @@ def test_run_optimization_immediate_stop_with_infinite_tol():
     h = vqe.load_bundled("entangled")
     cfg = _cfg(tol=np.inf, max_steps=200)
     trace = run_optimization("ldca", h, np.array([0.1, 0.2, 0.3, 0.4, 0.5]), cfg)
-    assert [r.step for r in trace] == [0, 1]
+    assert len(trace) == 2
 
 
 def test_run_optimization_deterministic():
@@ -104,30 +116,30 @@ def test_run_optimization_deterministic():
     t1 = run_optimization("ldca", h, theta0, cfg)
     t2 = run_optimization("ldca", h, theta0, cfg)
     assert len(t1) == len(t2)
-    for a, b in zip(t1, t2):
-        assert np.array_equal(a.theta, b.theta)
-        assert a.energy == b.energy and a.ricci == b.ricci
+    assert np.array_equal(t1.theta, t2.theta)
+    assert np.array_equal(t1.energy, t2.energy) and np.array_equal(t1.ricci, t2.ricci)
 
 
 def test_trace_ricci_at_zero_concurrence():
     h = vqe.load_bundled("entangled")
     cfg = _cfg(tol=np.inf, max_steps=200)
     trace = run_optimization("ldca", h, np.zeros(5), cfg)  # |01>, product state
-    assert trace[0].concurrence == pytest.approx(0.0, abs=1e-12)
-    assert trace[0].ricci == pytest.approx(10.0, abs=1e-9)
+    assert trace.concurrence[0] == pytest.approx(0.0, abs=1e-12)
+    assert trace.ricci[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_trace_instrumentation_consistency():
     h = vqe.load_bundled("entangled")
     cfg = _cfg(optimizer="qng", metric_mode="diag", max_steps=60, seed=5)
     theta0 = optimize.initial_parameters("shea", cfg, 1)
-    for rec in run_optimization("shea", h, theta0, cfg):
-        psi = ansatz.prepare_state("shea", rec.theta)
+    trace = run_optimization("shea", h, theta0, cfg)
+    for theta, conc, ricci in zip(trace.theta, trace.concurrence, trace.ricci):
+        psi = ansatz.prepare_state("shea", theta)
         c = geometry.concurrence(psi)
-        assert abs(rec.concurrence - c) < 1e-9
-        assert rec.ricci == pytest.approx(
+        assert abs(conc - c) < 1e-9
+        assert ricci == pytest.approx(
             geometry.ricci_closed(min(c, optimize.RICCI_CLAMP)), rel=1e-9)
-        assert rec.energy_error >= -1e-10
+    assert np.all(trace.energy_error >= -1e-10)
 
 
 def test_gd_known_good_ldca_run_reaches_chemical_accuracy():
@@ -145,8 +157,7 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
         np.eye(jac.shape[-1]), jac.shape[:-2] + (jac.shape[-1], jac.shape[-1])))
     qng_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=30))
     assert len(gd_trace) == len(qng_trace)
-    for a, b in zip(gd_trace, qng_trace):
-        assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(gd_trace.theta, qng_trace.theta)
 
 
 def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
@@ -155,10 +166,9 @@ def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
     monkeypatch.setattr(qgt, "fs_metric_from_state",
                         lambda psi, jac, mask: np.zeros(jac.shape[:-2] + (5, 5)))
     trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=5))
-    assert any(rec.qng_fallback for rec in trace[1:])
+    assert trace.qng_fallback[1:].any()
     gd_trace = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=5))
-    for a, b in zip(trace, gd_trace):
-        assert np.array_equal(a.theta, b.theta)
+    assert np.array_equal(trace.theta, gd_trace.theta)
 
 
 def test_initial_parameters_seeded_and_split():
@@ -241,11 +251,6 @@ def _engine_configs(**base):
          _cfg(optimizer="qng", inversion=qgt.PseudoInverse(rcond=2.0), **base)]
 
 
-def _fields(rec):
-    return (rec.step, rec.energy, rec.energy_error, rec.concurrence, rec.ricci, rec.grad_norm,
-            rec.qng_fallback)
-
-
 @pytest.mark.parametrize("kind", ansatz.ANSATZE)
 def test_single_evaluation_loop_matches_reference_bit_for_bit(kind):
     h = vqe.load_bundled("entangled")
@@ -255,20 +260,25 @@ def test_single_evaluation_loop_matches_reference_bit_for_bit(kind):
             got = run_optimization(kind, h, theta0, cfg)
             want = _reference_trace(kind, h, theta0, cfg)
             assert len(got) == len(want)
-            for rec, (step, theta, e, err, c, ricci, gnorm, fallback) in zip(got, want):
-                assert (rec.step, rec.qng_fallback) == (step, fallback)
-                if kind not in (ansatz.LDCA, ansatz.SHEA):
-                    assert np.array_equal(rec.theta, theta)
-                    assert _fields(rec) == (step, e, err, c, ricci, gnorm, fallback)
-                    continue
-                # the ldca and shea maps multiply complex by complex, which numpy
-                # rounds differently for the (m,) parameters of the old loop and
-                # the (1, m) stack of the engine: last-bit differences only
-                assert np.abs(rec.theta - theta).max() <= 1e-9
-                assert max(abs(rec.energy - e), abs(rec.energy_error - err),
-                           abs(rec.concurrence - c), abs(rec.grad_norm - gnorm)) <= 1e-9
-                assert rec.ricci == geometry.ricci_closed(
-                    min(rec.concurrence, optimize.RICCI_CLAMP))
+            step, theta, e, err, c, ricci, gnorm, fallback = map(np.array, zip(*want))
+            assert np.array_equal(step, np.arange(len(got)))
+            assert np.array_equal(got.qng_fallback, fallback)
+            if kind not in (ansatz.LDCA, ansatz.SHEA):
+                assert np.array_equal(got.theta, theta)
+                for column, value in ((got.energy, e), (got.energy_error, err),
+                                      (got.concurrence, c), (got.ricci, ricci),
+                                      (got.grad_norm, gnorm)):
+                    assert np.array_equal(column, value)
+                continue
+            # the ldca and shea maps multiply complex by complex, which numpy
+            # rounds differently for the (m,) parameters of the old loop and
+            # the (1, m) stack of the engine: last-bit differences only
+            assert np.abs(got.theta - theta).max() <= 1e-9
+            assert max(np.abs(got.energy - e).max(), np.abs(got.energy_error - err).max(),
+                       np.abs(got.concurrence - c).max(),
+                       np.abs(got.grad_norm - gnorm).max()) <= 1e-9
+            assert got.ricci.tolist() == [geometry.ricci_closed(min(v, optimize.RICCI_CLAMP))
+                                          for v in got.concurrence.tolist()]
 
 
 @pytest.mark.parametrize("kind", ansatz.ANSATZE)
@@ -281,8 +291,8 @@ def test_run_trials_rows_match_one_trial_runs_bit_for_bit(kind):
         for k, trace in enumerate(traces):
             single = run_optimization(kind, h, optimize.initial_parameters(kind, cfg, k), cfg)
             assert len(trace) == len(single)
-            for a, b in zip(trace, single):
-                assert np.array_equal(a.theta, b.theta) and _fields(a) == _fields(b)
+            for f in dataclasses.fields(optimize.Trace):
+                assert np.array_equal(getattr(trace, f.name), getattr(single, f.name)), f.name
             stop_steps.add(len(trace))
     assert len(stop_steps) > 1  # rows of one batch stop at different steps
 
@@ -316,3 +326,19 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
         assert calls["state_and_jacobian"] == max(len(t) for t in traces)
         assert min(len(t) for t in traces) < max(len(t) for t in traces)
     assert calls["other_maps"] == 0 and calls["matrix"] == 0
+
+
+def test_trace_memory_follows_the_steps_run_not_max_steps():
+    # a (B, max_steps + 1) buffer of even one bool column would take 10 MB here
+    h = vqe.load_bundled("entangled")
+    cfg = _cfg(optimizer="qng", max_steps=10**7, tol=1e-3, seed=2)
+    theta0 = optimize.initial_parameters("ldca", cfg, 0)
+    run_optimization("ldca", h, theta0, cfg)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        trace = run_optimization("ldca", h, theta0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) < 100
+    assert peak < 1_000_000, peak
