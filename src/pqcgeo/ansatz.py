@@ -85,7 +85,7 @@ def _check_theta(kind: str, theta) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # state maps and Jacobians: each fills the zeroed state psi (..., 4) and
-# Jacobian jac (..., 4, m) at the parameters t (..., m)
+# Jacobian jac (..., 4, m) at the parameters t (..., m); only psi if jac is None
 # ---------------------------------------------------------------------------
 
 def _columns(a):
@@ -105,6 +105,8 @@ def _hea_state_jac(t, psi, jac):
     cm, sm = np.cos(t2 - t4), np.sin(t2 - t4)
     _put(psi, c1 * c3 * cp - s1 * s3 * sm, c1 * c3 * sp - s1 * s3 * cm,
          c1 * s3 * cp + s1 * c3 * sm, s1 * c3 * cm + c1 * s3 * sp)
+    if jac is None:
+        return
     _put(jac[..., 0], -s1 * c3 * cp - c1 * s3 * sm, -s1 * c3 * sp - c1 * s3 * cm,
          -s1 * s3 * cp + c1 * c3 * sm, c1 * c3 * cm - s1 * s3 * sp)
     _put(jac[..., 1], -c1 * c3 * sp - s1 * s3 * cm, c1 * c3 * cp + s1 * s3 * sm,
@@ -121,6 +123,8 @@ def _ldca_state_jac(t, psi, jac):
     c3, s3, c5, s5 = np.cos(t3), np.sin(t3), np.cos(t5), np.sin(t5)
     psi[..., 1] = e * (c3 * c5 - 1j * s3 * s5)
     psi[..., 2] = e * -(s5 * c3 + 1j * s3 * c5)
+    if jac is None:
+        return
     # t1, t2, t4 enter only through the overall phase
     jac[..., 0] = -0.5j * psi
     jac[..., 1] = 0.5j * psi
@@ -145,6 +149,8 @@ def _qgan_state_jac(t, psi, jac):
     p10 = np.exp(0.5j * (t3 - t4 + t5))
     p11 = np.exp(0.5j * (t3 + t4 - t5))
     _put(psi, p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2)
+    if jac is None:
+        return
     _put(jac[..., 0], p00 * (-s1 / 2) * c2, -1j * p01 * (-s1 / 2) * s2,
          -1j * p10 * (c1 / 2) * c2, -p11 * (c1 / 2) * s2)
     _put(jac[..., 1], p00 * c1 * (-s2 / 2), -1j * p01 * c1 * (c2 / 2),
@@ -169,6 +175,8 @@ def _shea_state_jac(t, psi, jac):
          pb * (c1 * c2 * c3 - 1j * s1 * s2 * s3),
          pg * (-s1 * s2 * c3 + 1j * c1 * c2 * s3),
          -1j * pd * s1 * c2)
+    if jac is None:
+        return
     _put(jac[..., 0],
          -1j * pa * (-s1 / 2) * s2,
          pb * ((-s1 / 2) * c2 * c3 - 1j * (c1 / 2) * s2 * s3),
@@ -187,7 +195,7 @@ def _shea_state_jac(t, psi, jac):
 
 
 def _qgan_aug_state_jac(t, psi, jac):
-    psi_q, jac_q = _evaluate(QGAN, t[..., :5])
+    psi_q, jac_q = _evaluate(QGAN, t[..., :5], jac is not None)
     t8, t9 = _columns(t[..., 7:])
     half = t[..., 5:7] / 2
     rx = np.empty(half.shape + (2, 2), dtype=complex)  # R_X(t6) and R_X(t7)
@@ -199,6 +207,8 @@ def _qgan_aug_state_jac(t, psi, jac):
                * np.exp(-0.5j * t9[..., None] * _Z2_DIAG))
     a_psi = (a @ psi_q[..., None])[..., 0]
     np.multiply(rz_diag, a_psi, out=psi)
+    if jac is None:
+        return
     np.multiply(rz_diag[..., None], a @ jac_q, out=jac[..., :5])
     # X1 and X2 permute the amplitudes
     jac[..., 5] = rz_diag * (-0.5j * a_psi[..., [2, 3, 0, 1]])
@@ -216,18 +226,18 @@ _STATE_JAC = {
 }
 
 
-def _evaluate(kind: str, theta) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(kind: str, theta, with_jac: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     kind = resolve_kind(kind)
     t = _check_theta(kind, theta)
     psi = np.zeros(t.shape[:-1] + (4,), dtype=complex)
-    jac = np.zeros(t.shape[:-1] + (4, t.shape[-1]), dtype=complex)
+    jac = np.zeros(t.shape[:-1] + (4, t.shape[-1]), dtype=complex) if with_jac else None
     _STATE_JAC[kind](t, psi, jac)
     return psi, jac
 
 
 def prepare_state(kind: str, theta) -> np.ndarray:
     """Normalized statevector(s): (..., m) parameters give (..., 4) amplitudes."""
-    return _evaluate(kind, theta)[0]
+    return _evaluate(kind, theta, with_jac=False)[0]
 
 
 def state_jacobian(kind: str, theta) -> np.ndarray:

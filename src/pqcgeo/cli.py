@@ -106,7 +106,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_hopf(args) -> int:
-    theta = [float(v) for v in args.theta.split(",") if v.strip() != ""]
+    try:  # float() refuses an empty field, so "0.1,,0.2" and a trailing comma fail here
+        theta = [float(v) for v in args.theta.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad --theta {args.theta!r}: expected comma-separated numbers") from exc
     report = harness.hopf_report(args.ansatz, theta)
     print(json.dumps(report, indent=1))
     return 0

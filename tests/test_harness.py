@@ -272,6 +272,21 @@ def test_landscape_validation():
         harness.scan_landscape("hea", (0, 1), clip=(4.0, 4.0))
 
 
+def test_non_finite_clip_bounds_fail_before_any_file_is_written(tmp_path, capsys):
+    # an infinite bound used to be written into _meta.json as Infinity, which strict JSON
+    # parsers refuse, and clip=(-inf, 8) left the -inf pole cells unclipped
+    prefix = tmp_path / "scan" / "bad"
+    for clip in ((-np.inf, 8.0), (-5.0, np.inf), (np.nan, 8.0), (-5.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            harness.scan_landscape("hea", (0, 1), resolution=5, clip=clip, out_prefix=prefix)
+    for bounds in (["-5", "inf"], ["nan", "8"], ["-5", "nan"]):
+        assert main(["scan-landscape", "--ansatz", "hea", "--grid", "5", "--clip", *bounds,
+                     "--out", str(prefix)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_fixed_value_fails_before_any_file_is_written(tmp_path, capsys):
     n = 3 * harness._ROW_BLOCK + 5  # several row blocks
     prefix = tmp_path / "scan" / "bad"
@@ -395,6 +410,15 @@ def test_cli_hopf_and_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / "fix")]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "fix.csv").exists()
+
+
+@pytest.mark.parametrize("theta", ["0.1,,0.2,0.3,0.4", "0.1,0.2,0.3,0.4,", ",0.1,0.2,0.3,0.4",
+                                   "0.1, ,0.2,0.3", "", "0.1,x,0.2,0.3"])
+def test_cli_hopf_refuses_empty_and_non_numeric_theta_fields(capsys, theta):
+    # empty fields used to be dropped, so "0.1,,0.2,0.3,0.4" ran hea on four values
+    assert main(["hopf", "--ansatz", "hea", "--theta", theta]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad --theta ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,name", [("--lr", "learning_rate"), ("--rcond", "rcond"),
@@ -674,3 +698,150 @@ def test_trace_outputs_match_the_record_based_reference(tmp_path, kind):
                                                  for recs in records]
     # trials that stop early and trials that reach max_steps; rows that fall back
     assert lengths == {True, False} and fallbacks == {True, False}
+
+
+# --- the gradient-check suite: batched by family, checked against its per-sample loop ---
+
+def _per_sample_gradient_deviations(rng):
+    """The gradient-check suite as it was: one Hamiltonian, one state_and_jacobian call and
+    one prepare_state call per sample. Returns its worst gradient and Jacobian deviations
+    and the (family, parameters) of each sample."""
+    worst_g = worst_j = 0.0
+    h = 1e-5
+    samples = []
+    for _ in range(1000):
+        kind = ansatz.ANSATZE[rng.integers(len(ansatz.ANSATZE))]
+        m = ansatz.param_count(kind)
+        theta = rng.uniform(0, 2 * np.pi, m)
+        samples.append((kind, theta))
+        ham = vqe.Hamiltonian(nu=tuple(rng.normal(size=6)))
+        psi, jac = ansatz.state_and_jacobian(kind, theta)
+        grad = vqe.gradient_from_state(ham, psi, jac)
+        shift = h * np.eye(m)
+        psi_p, psi_m = ansatz.prepare_state(kind, np.stack([theta + shift, theta - shift]))
+        worst_j = max(worst_j, float(np.abs((psi_p - psi_m) / (2 * h) - jac.T).max()))
+        fd = (vqe.energy(ham, psi_p) - vqe.energy(ham, psi_m)) / (2 * h)
+        worst_g = max(worst_g, float(np.abs(grad - fd).max()))
+    return worst_g, worst_j, samples
+
+
+def _batched_gradient_deviations(monkeypatch, rng):
+    """The suite's result, its worst gradient and Jacobian deviations, read from the max()
+    calls that keep them (the Jacobian's, then the gradient's, per family), and the
+    (family, parameters) of each state_and_jacobian call it makes."""
+    kept, calls = [], []
+
+    def keeping_max(*args):
+        kept.append(max(*args))
+        return kept[-1]
+
+    def recording(kind, theta):
+        calls.append((kind, np.array(theta)))
+        return state_and_jacobian(kind, theta)
+
+    state_and_jacobian = ansatz.state_and_jacobian
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "max", keeping_max, raising=False)
+        patch.setattr(ansatz, "state_and_jacobian", recording)
+        result = dict(harness.VALIDATION_SUITES)["gradient-check"](rng)
+    return result, kept[-1], kept[-2], calls
+
+
+class _FirstTwoFamilies:
+    """A generator that draws only hea and ldca samples, so that three families go undrawn."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, n):
+        return self._rng.integers(2)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("make_rng,seed", [(np.random.default_rng, 7), (np.random.default_rng, 8),
+                                           (_FirstTwoFamilies, 7)],
+                         ids=["suite-seed", "seed-8", "two-families"])
+def test_batched_gradient_suite_matches_the_per_sample_loop(monkeypatch, make_rng, seed):
+    (ok, detail), worst_g, worst_j, calls = _batched_gradient_deviations(monkeypatch,
+                                                                         make_rng(seed))
+    ref_g, ref_j, samples = _per_sample_gradient_deviations(make_rng(seed))
+    assert ok, detail
+    # one call per drawn family, on that family's samples in the order they were drawn
+    expected = [(kind, np.array([t for k, t in samples if k == kind]))
+                for kind in ansatz.ANSATZE if any(k == kind for k, _ in samples)]
+    assert [kind for kind, _ in calls] == [kind for kind, _ in expected]
+    assert all(t.tobytes() == ref.tobytes() for (_, t), (_, ref) in zip(calls, expected))
+    # the same states and Jacobians, batched: the Jacobian deviation keeps its bits
+    assert worst_j == ref_j
+    # The energies are sums over unit terms, rounded in another order. An energy of size
+    # up to sum|nu| (about 10 here) is known to a few ulps, about 5e-15, and the central
+    # difference divides that by 2h = 2e-5; two such roundings per difference give 5e-10.
+    # Measured: 1.2e-12 on the suite's own seed, at most 7.5e-11 over ten seeds.
+    assert abs(worst_g - ref_g) <= 5e-10
+    assert detail == f"energy grad dev {worst_g:.2e}, jacobian dev {worst_j:.2e} (tol 1e-6)"
+
+
+def test_validation_rows_match_the_per_sample_gradient_suite_and_a_jacobian_state_path(
+        monkeypatch):
+    _, new_rows = harness.run_validation()
+
+    def reference_suite(rng):
+        worst_g, worst_j, _ = _per_sample_gradient_deviations(rng)
+        return (worst_g <= 1e-6 and worst_j <= 1e-6,
+                f"energy grad dev {worst_g:.2e}, jacobian dev {worst_j:.2e} (tol 1e-6)")
+
+    # prepare_state as it was: the state half of a state and Jacobian evaluation
+    monkeypatch.setattr(ansatz, "prepare_state",
+                        lambda kind, theta: ansatz.state_and_jacobian(kind, theta)[0])
+    monkeypatch.setattr(harness, "VALIDATION_SUITES", tuple(
+        (name, reference_suite if name == "gradient-check" else fn)
+        for name, fn in harness.VALIDATION_SUITES))
+    _, ref_rows = harness.run_validation()
+    assert [row for row in new_rows if row[0] != "gradient-check"] == \
+        [row for row in ref_rows if row[0] != "gradient-check"]
+    assert all(ok for name, ok, _ in new_rows + ref_rows if name == "gradient-check")
+
+
+def _gradient_suite(rng):
+    return dict(harness.VALIDATION_SUITES)["gradient-check"](rng)
+
+
+def test_gradient_suite_catches_a_perturbed_jacobian_column(monkeypatch):
+    original = ansatz.state_and_jacobian
+
+    def perturbed(kind, theta):
+        psi, jac = original(kind, theta)
+        jac[..., 0] *= 1 + 1e-4
+        return psi, jac
+
+    monkeypatch.setattr(ansatz, "state_and_jacobian", perturbed)
+    ok, detail = _gradient_suite(np.random.default_rng(7))
+    assert not ok, detail
+
+
+def test_gradient_suite_catches_a_perturbed_analytic_gradient(monkeypatch):
+    original = vqe.gradient_from_state
+    monkeypatch.setattr(vqe, "gradient_from_state",
+                        lambda ham, psi, jac: original(ham, psi, jac) * (1 + 1e-4))
+    ok, detail = _gradient_suite(np.random.default_rng(7))
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("term", range(1, 6), ids=vqe.HAMILTONIAN_TERMS[1:])
+def test_gradient_suite_checks_every_hamiltonian_term(monkeypatch, term):
+    # the analytic gradient of H gains 1e-4 times that of its nu_t P_t part; the identity
+    # term is left out, because its gradient is zero on normalized states
+    original = vqe.gradient_from_state
+    unit = vqe.Hamiltonian(nu=tuple(np.eye(6)[term]))
+    monkeypatch.setattr(vqe, "gradient_from_state", lambda ham, psi, jac: original(
+        ham, psi, jac) + 1e-4 * ham.nu[term] * original(unit, psi, jac))
+    ok, detail = _gradient_suite(np.random.default_rng(7))
+    assert not ok, detail
+
+
+def test_gradient_suite_memory_is_bounded():
+    # 3.2 MB on a 2-CPU x86-64 host: the largest share is qgan-aug's (2, k, 9, 4) shifted
+    # states, the (2, k, 9, 4, 4) rotation products behind them and their temporaries
+    assert _traced_peak_mb(_gradient_suite, np.random.default_rng(7)) <= 4.0
