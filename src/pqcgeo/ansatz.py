@@ -62,10 +62,9 @@ BLOCK_PARTITIONS = {
 
 
 def resolve_kind(kind: str) -> str:
-    k = str(kind).strip().lower().replace("_", "-")
-    if k not in ANSATZE:
+    if kind not in ANSATZE:
         raise ValueError(f"unknown ansatz {kind!r}; expected one of {ANSATZE}")
-    return k
+    return kind
 
 
 def param_count(kind: str) -> int:
@@ -282,17 +281,15 @@ def concurrence_closed(kind: str, theta) -> np.ndarray | float:
 def ricci_closed_circuit(kind: str, theta) -> float:
     """Per-circuit scalar curvature R(C) at a single parameter vector.
 
-    Raises SingularityError when the parameters sit on the maximal-entanglement
-    pole (concurrence equal to 1 within 1e-12).
+    This is the ricci_circuit_grid value; SingularityError is raised exactly
+    where that is -inf, on the maximal-entanglement pole C == 1.
     """
-    kind = resolve_kind(kind)
-    theta = _check_theta(kind, theta)
-    if theta.ndim != 1:
-        raise ValueError(f"expected one parameter vector, got shape {theta.shape}")
-    c = float(_concurrence(kind, theta))
-    if 1.0 - c <= 1e-12:
-        raise SingularityError(f"curvature pole: concurrence = {c!r}")
-    return ricci_closed(c)
+    r = ricci_circuit_grid(kind, theta)
+    if np.ndim(r) != 0:
+        raise ValueError(f"expected one parameter vector, got shape {np.shape(theta)}")
+    if r == -np.inf:
+        raise SingularityError("curvature pole: concurrence = 1.0")
+    return r
 
 
 def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:

@@ -8,32 +8,48 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from typing import get_args
 
 import numpy as np
 
 from . import ansatz, harness, optimize, qgt, vqe
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a command with one "error: ..." line and exit code 2, and reads a token
+    that starts with '-' and a digit, '.', 'inf' or 'nan' as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pqcgeo",
-                                     description="two-qubit circuit geometry and VQE laboratory")
+    parser = _Parser(prog="pqcgeo", description="two-qubit circuit geometry and VQE laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    opt = optimize.OptConfig()  # the run-vqe defaults
 
     run = sub.add_parser("run-vqe", help="multi-trial VQE with trace CSVs and summary JSON")
     run.add_argument("--ansatz", required=True, choices=ansatz.ANSATZE)
     run.add_argument("--hamiltonian", required=True,
                      help="Hamiltonian JSON path, or bundled name "
                           + "/".join(repr(name) for name in vqe.BUNDLED))
-    run.add_argument("--optimizer", default="gd", choices=(optimize.GD, optimize.QNG))
-    run.add_argument("--metric", default="block", choices=("dense", "block", "diag"))
-    run.add_argument("--inversion", default="pinv", choices=("pinv", "tikhonov"))
-    run.add_argument("--rcond", type=float, default=1e-8, help="pseudo-inverse cutoff")
-    run.add_argument("--epsilon", type=float, default=1e-3, help="tikhonov ridge")
-    run.add_argument("--lr", type=float, default=0.05)
-    run.add_argument("--steps", type=int, default=200)
-    run.add_argument("--tol", type=float, default=1e-6)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--optimizer", default=opt.optimizer, choices=(optimize.GD, optimize.QNG))
+    run.add_argument("--metric", default=opt.metric_mode, choices=qgt.METRIC_MODES)
+    run.add_argument("--inversion", default=opt.inversion.name,
+                     choices=[policy.name for policy in get_args(qgt.InversionPolicy)])
+    run.add_argument("--rcond", type=float, default=qgt.PseudoInverse.rcond,
+                     help="pseudo-inverse cutoff")
+    run.add_argument("--epsilon", type=float, default=qgt.Tikhonov.epsilon, help="tikhonov ridge")
+    run.add_argument("--lr", type=float, default=opt.learning_rate)
+    run.add_argument("--steps", type=int, default=opt.max_steps)
+    run.add_argument("--tol", type=float, default=opt.tol)
+    run.add_argument("--seed", type=int, default=opt.seed)
     run.add_argument("--trials", type=int, default=harness.DEFAULT_TRIALS)
     run.add_argument("--out", default="out")
 
@@ -59,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run_vqe(args) -> int:
     # both policies are built so that a bad --rcond or --epsilon is refused either way
-    policies = dict(pinv=qgt.PseudoInverse(args.rcond), tikhonov=qgt.Tikhonov(args.epsilon))
+    policies = {p.name: p for p in (qgt.PseudoInverse(args.rcond), qgt.Tikhonov(args.epsilon))}
     opt = optimize.OptConfig(learning_rate=args.lr, max_steps=args.steps, tol=args.tol,
                              optimizer=args.optimizer, metric_mode=args.metric,
                              inversion=policies[args.inversion], seed=args.seed)

@@ -22,6 +22,7 @@ give the per-circuit curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -267,6 +268,18 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
+def _central_difference(fn: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
+                        step: float) -> np.ndarray:
+    """Row k: (fn(point + step e_k) - fn(point - step e_k)) / (2 step)."""
+    out = []
+    for k in range(point.size):
+        xp, xm = point.copy(), point.copy()
+        xp[k] += step
+        xm[k] -= step
+        out.append((np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * step))
+    return np.stack(out)
+
+
 def christoffel(metric: MetricFn, point) -> np.ndarray:
     """Christoffel symbols Gamma^c_ab = 1/2 g^{cd} (g_da,b + g_db,a - g_ab,d).
 
@@ -274,14 +287,8 @@ def christoffel(metric: MetricFn, point) -> np.ndarray:
     FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
     point = np.asarray(point, dtype=float)
-    d = point.size
     ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
-    dg = np.empty((d, d, d))
-    for k in range(d):
-        xp, xm = point.copy(), point.copy()
-        xp[k] += FD_STEP
-        xm[k] -= FD_STEP
-        dg[k] = (np.asarray(metric(xp), float) - np.asarray(metric(xm), float)) / (2.0 * FD_STEP)
+    dg = _central_difference(metric, point, FD_STEP)
     gam = 0.5 * (np.einsum("cd,bda->cab", ginv, dg)
                  + np.einsum("cd,adb->cab", ginv, dg)
                  - np.einsum("cd,dab->cab", ginv, dg))
@@ -298,20 +305,11 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
     Richardson extrapolation.
     """
     point = np.asarray(point, dtype=float)
-    d = point.size
     ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
     gam = christoffel(metric, point)
-
-    def dgamma(step: float) -> np.ndarray:
-        out = np.empty((d, d, d, d))
-        for k in range(d):
-            xp, xm = point.copy(), point.copy()
-            xp[k] += step
-            xm[k] -= step
-            out[k] = (christoffel(metric, xp) - christoffel(metric, xm)) / (2.0 * step)
-        return out
-
-    dgam = (4.0 * dgamma(FD_STEP / 2.0) - dgamma(FD_STEP)) / 3.0
+    gamma_field = partial(christoffel, metric)
+    dgam = (4.0 * _central_difference(gamma_field, point, FD_STEP / 2.0)
+            - _central_difference(gamma_field, point, FD_STEP)) / 3.0
     r = (np.einsum("ab,ccab->", ginv, dgam)
          - np.einsum("ab,bcac->", ginv, dgam)
          + np.einsum("ab,dab,ccd->", ginv, gam, gam)

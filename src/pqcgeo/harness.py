@@ -76,8 +76,7 @@ def run_vqe_experiment(kind: str, hamiltonian: vqe.Hamiltonian, opt: optimize.Op
         "ansatz": kind,
         "optimizer": opt.optimizer,
         "metric_mode": opt.metric_mode,
-        "inversion": {"policy": "tikhonov" if isinstance(opt.inversion, qgt.Tikhonov) else "pinv",
-                      **asdict(opt.inversion)},
+        "inversion": {"policy": opt.inversion.name, **asdict(opt.inversion)},
         "learning_rate": opt.learning_rate,
         "tol": opt.tol,
         "max_steps": opt.max_steps,
@@ -109,11 +108,11 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     """
     kind = ansatz.resolve_kind(kind)
     m = ansatz.param_count(kind)
-    a, b = scan_indices
-    if not (0 <= a < m and 0 <= b < m) or a == b:
-        raise ValueError(f"scan indices must be two distinct indices in [0, {m})")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    message = f"scan indices must be two distinct integers in [0, {m})"
+    a, b = (optimize._integer(i, 0, message) for i in scan_indices)
+    if not (a < m and b < m) or a == b:
+        raise ValueError(f"{message}, got {scan_indices!r}")
+    resolution = optimize._integer(resolution, 2, "resolution must be an integer of at least 2")
     lo, hi = float(clip[0]), float(clip[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"clip bounds must be finite with lo < hi, got {lo!r} and {hi!r}")

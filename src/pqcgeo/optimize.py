@@ -53,6 +53,8 @@ class OptConfig:
         object.__setattr__(self, "seed", _integer(
             self.seed, 0, "seed must be a non-negative integer"))
         object.__setattr__(self, "metric_mode", qgt.canonical_mode(self.metric_mode))
+        if not isinstance(self.inversion, qgt.InversionPolicy):
+            raise ValueError(f"inversion must be a qgt.InversionPolicy, got {self.inversion!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ phases, which is why gauge parameters produce exactly-zero rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,14 +18,6 @@ from . import ansatz
 DENSE = "dense"
 BLOCK = "block"
 DIAG = "diag"
-_MODE_ALIASES = {
-    "dense": DENSE,
-    "block": BLOCK,
-    "block_diagonal": BLOCK,
-    "block-diagonal": BLOCK,
-    "diag": DIAG,
-    "diagonal": DIAG,
-}
 METRIC_MODES = (DENSE, BLOCK, DIAG)
 
 
@@ -32,6 +25,7 @@ METRIC_MODES = (DENSE, BLOCK, DIAG)
 class PseudoInverse:
     """Spectral pseudo-inverse keeping eigenvalues above rcond * lambda_max."""
 
+    name: ClassVar[str] = "pinv"
     rcond: float = 1e-8
 
     def __post_init__(self):
@@ -43,6 +37,7 @@ class PseudoInverse:
 class Tikhonov:
     """(g + epsilon I)^-1 regularized inverse."""
 
+    name: ClassVar[str] = "tikhonov"
     epsilon: float = 1e-3
 
     def __post_init__(self):
@@ -54,10 +49,9 @@ InversionPolicy = PseudoInverse | Tikhonov
 
 
 def canonical_mode(mode: str) -> str:
-    try:
-        return _MODE_ALIASES[str(mode).strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown metric mode {mode!r}; expected dense/block/diag") from None
+    if mode not in METRIC_MODES:
+        raise ValueError(f"unknown metric mode {mode!r}; expected {'/'.join(METRIC_MODES)}")
+    return mode
 
 
 def qgt_from_state(psi: np.ndarray, jac: np.ndarray) -> np.ndarray:

@@ -23,6 +23,15 @@ def test_wrong_parameter_count_rejected():
         ansatz.prepare_state("nope", [0.0])
 
 
+@pytest.mark.parametrize("kind", ["QGAN_AUG", "qgan_aug", "HEA", " hea", "Qgan-Aug"])
+def test_each_family_has_one_spelling(kind):
+    # case, whitespace and underscore forms used to be folded onto the family names
+    with pytest.raises(ValueError, match="unknown ansatz"):
+        ansatz.resolve_kind(kind)
+    with pytest.raises(ValueError, match="unknown ansatz"):
+        ansatz.param_count(kind)
+
+
 def test_hea_zero_angles_gives_00():
     assert np.abs(ansatz.prepare_state(HEA, np.zeros(4)) - sim.basis_state("00")).max() == 0.0
 
@@ -167,6 +176,48 @@ def test_ricci_circuit_singularity_signal():
     assert ansatz.ricci_circuit_grid(HEA, [np.pi / 4, 0, 0, 0]) == -np.inf
     # geometry owns the class; ansatz and the package re-export the same one
     assert ansatz.SingularityError is geometry.SingularityError is pqcgeo.SingularityError
+
+
+def test_ricci_circuit_near_the_pole_returns_the_grid_value():
+    # C = 0.99999999999998 lies within 1e-12 of the pole, where a threshold used to raise
+    theta = [np.pi / 4 + 1e-7, 0.0, 0.0, 0.0]
+    assert 1.0 - 1e-12 < ansatz.concurrence_closed(HEA, theta) < 1.0
+    r = ansatz.ricci_closed_circuit(HEA, theta)
+    assert r == ansatz.ricci_circuit_grid(HEA, theta)
+    assert r == pytest.approx(-5.004e13, rel=1e-3)
+
+
+def _reference_ricci_closed_circuit(kind, theta):
+    """The single-vector curvature as it was, with its own 1 - C <= 1e-12 pole threshold."""
+    kind = ansatz.resolve_kind(kind)
+    theta = ansatz._check_theta(kind, theta)
+    c = float(ansatz._concurrence(kind, theta))
+    if 1.0 - c <= 1e-12:
+        raise geometry.SingularityError(f"curvature pole: concurrence = {c!r}")
+    return geometry.ricci_closed(c)
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_ricci_closed_circuit_matches_the_thresholded_copy_it_replaced(kind):
+    rng = np.random.default_rng(RNG_SEED)
+    thetas = rng.uniform(0, 2 * np.pi, size=(20_000, ansatz.param_count(kind)))
+    for theta in thetas:
+        r = ansatz.ricci_closed_circuit(kind, theta)
+        try:
+            expected = _reference_ricci_closed_circuit(kind, theta)
+        except geometry.SingularityError:
+            # the one change: 1 - 1e-12 < C < 1 now gets the grid's finite value
+            assert 1.0 - 1e-12 < ansatz.concurrence_closed(kind, theta) < 1.0, theta
+            expected = ansatz.ricci_circuit_grid(kind, theta)
+            assert expected > -np.inf
+        assert type(r) is float and r == expected, theta
+    pole = {HEA: [np.pi / 4, 0, 0, 0], LDCA: [0, 0, np.pi / 4, 0, 0],
+            QGAN: [np.pi / 2, np.pi / 2, 0, 0, np.pi / 2],
+            SHEA: [np.pi / 2, np.pi / 2, np.pi, 0, 0, 0],
+            QGAN_AUG: [np.pi / 2, np.pi / 2, 0, 0, np.pi / 2, 0, 0, 0, 0]}[kind]
+    for fn in (ansatz.ricci_closed_circuit, _reference_ricci_closed_circuit):
+        with pytest.raises(ansatz.SingularityError, match="curvature pole"):
+            fn(kind, pole)
 
 
 def test_ricci_circuit_shea_pole_curve_stays_negative():

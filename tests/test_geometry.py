@@ -267,6 +267,64 @@ def test_scalar_curvature_mfs_at_half():
     assert r == pytest.approx(28.0 / 3.0, abs=1e-3)
 
 
+def _reference_christoffel(metric, point):
+    """christoffel as it was, with its own central-difference loop."""
+    point = np.asarray(point, dtype=float)
+    d = point.size
+    ginv = geo._metric_inverse(np.asarray(metric(point), dtype=float))
+    dg, h = np.empty((d, d, d)), geo.FD_STEP
+    for k in range(d):
+        xp, xm = point.copy(), point.copy()
+        xp[k] += h
+        xm[k] -= h
+        dg[k] = (np.asarray(metric(xp), float) - np.asarray(metric(xm), float)) / (2.0 * h)
+    gam = 0.5 * (np.einsum("cd,bda->cab", ginv, dg)
+                 + np.einsum("cd,adb->cab", ginv, dg)
+                 - np.einsum("cd,dab->cab", ginv, dg))
+    return 0.5 * (gam + np.swapaxes(gam, 1, 2))
+
+
+def _reference_scalar_curvature(metric, point):
+    """scalar_curvature_numeric as it was, with its own dgamma loop."""
+    point = np.asarray(point, dtype=float)
+    d = point.size
+    ginv = geo._metric_inverse(np.asarray(metric(point), dtype=float))
+    gam = _reference_christoffel(metric, point)
+
+    def dgamma(step):
+        out = np.empty((d, d, d, d))
+        for k in range(d):
+            xp, xm = point.copy(), point.copy()
+            xp[k] += step
+            xm[k] -= step
+            out[k] = (_reference_christoffel(metric, xp)
+                      - _reference_christoffel(metric, xm)) / (2.0 * step)
+        return out
+
+    dgam = (4.0 * dgamma(geo.FD_STEP / 2.0) - dgamma(geo.FD_STEP)) / 3.0
+    r = (np.einsum("ab,ccab->", ginv, dgam)
+         - np.einsum("ab,bcac->", ginv, dgam)
+         + np.einsum("ab,dab,ccd->", ginv, gam, gam)
+         - np.einsum("ab,dac,cbd->", ginv, gam, gam))
+    return float(r)
+
+
+def test_shared_central_difference_matches_the_loops_it_replaced():
+    # both chart conventions at the nine concurrences of resolve_chart_convention, bit for bit
+    for conv in geo.CHART_CONVENTIONS:
+        metric = geo._mfs_field(conv)
+        for c in np.arange(0.1, 0.91, 0.1):
+            point = np.array([c, 0.7, 1.1, 1.3])
+            assert np.array_equal(geo.christoffel(metric, point),
+                                  _reference_christoffel(metric, point))
+            assert geo.scalar_curvature_numeric(metric, point) == \
+                _reference_scalar_curvature(metric, point)
+    s2 = lambda x: np.diag([1.0, np.sin(x[0]) ** 2])
+    for theta in np.linspace(0.4, np.pi - 0.4, 20):
+        point = np.array([theta, 0.3])
+        assert geo.scalar_curvature_numeric(s2, point) == _reference_scalar_curvature(s2, point)
+
+
 def test_chart_convention_resolution():
     conv, devs = geo.resolve_chart_convention()
     assert conv == geo.SIN_ON_DTHETA

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from pqcgeo import ansatz, harness, optimize, qgt, vqe
+from pqcgeo import ansatz, cli, harness, optimize, qgt, vqe
 from pqcgeo.cli import main
 
 def _experiment(out_dir, trials=2, opt=None):
@@ -272,6 +273,26 @@ def test_landscape_validation():
         harness.scan_landscape("hea", (0, 1), clip=(4.0, 4.0))
 
 
+@pytest.mark.parametrize("scan,resolution", [((0, True), 5), ((0, 1.5), 5), ((0.0, 1), 5),
+                                             ((0, 1), 2.5), ((0, 1), True), ((0, 1), "5")])
+def test_scan_landscape_refuses_indices_and_resolution_that_are_not_integers(tmp_path, scan,
+                                                                             resolution):
+    # (0, True) used to scan theta_2 and write [0, true]; 2.5 and 1.5 ended in tracebacks
+    with pytest.raises(ValueError, match="integer"):
+        harness.scan_landscape("hea", scan, resolution=resolution,
+                               out_prefix=tmp_path / "scan" / "grid")
+    assert not any(tmp_path.iterdir())
+
+
+def test_scan_landscape_takes_numpy_integers_as_int(tmp_path):
+    # numpy integers used to reach _meta.json, which json.dumps refused with a TypeError
+    _, _, meta = harness.scan_landscape("hea", (np.int64(0), np.int32(2)),
+                                        resolution=np.int64(5), out_prefix=tmp_path / "grid")
+    assert json.loads((tmp_path / "grid_meta.json").read_text())["scan_indices"] == [0, 2]
+    assert type(meta["resolution"]) is int and meta["resolution"] == 5
+    assert [type(i) for i in meta["scan_indices"]] == [int, int]
+
+
 def test_non_finite_clip_bounds_fail_before_any_file_is_written(tmp_path, capsys):
     # an infinite bound used to be written into _meta.json as Infinity, which strict JSON
     # parsers refuse, and clip=(-inf, 8) left the -inf pole cells unclipped
@@ -419,6 +440,76 @@ def test_cli_hopf_refuses_empty_and_non_numeric_theta_fields(capsys, theta):
     assert main(["hopf", "--ansatz", "hea", "--theta", theta]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: bad --theta ") and err.count("\n") == 1
+
+
+def test_run_vqe_parser_takes_its_defaults_and_choices_from_the_api(tmp_path):
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {action.dest: action for action in commands.choices["run-vqe"]._actions}
+    opt = optimize.OptConfig()
+    expected = dict(optimizer=opt.optimizer, metric=opt.metric_mode, inversion=opt.inversion.name,
+                    rcond=qgt.PseudoInverse().rcond, epsilon=qgt.Tikhonov().epsilon,
+                    lr=opt.learning_rate, steps=opt.max_steps, tol=opt.tol, seed=opt.seed,
+                    trials=harness.DEFAULT_TRIALS)
+    assert {dest: actions[dest].default for dest in expected} == expected
+    assert tuple(actions["optimizer"].choices) == (optimize.GD, optimize.QNG)
+    assert tuple(actions["metric"].choices) == qgt.METRIC_MODES
+    assert tuple(actions["inversion"].choices) == (qgt.PseudoInverse.name, qgt.Tikhonov.name)
+    # a run given no settings records OptConfig() and the default policy
+    assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--trials", "1",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert {key: summary[key] for key in ("optimizer", "metric_mode", "learning_rate", "tol",
+                                          "max_steps", "seed", "inversion")} == {
+        "optimizer": opt.optimizer, "metric_mode": opt.metric_mode,
+        "learning_rate": opt.learning_rate, "tol": opt.tol, "max_steps": opt.max_steps,
+        "seed": opt.seed, "inversion": {"policy": "pinv", "rcond": qgt.PseudoInverse().rcond}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--ansatz", "hea"],
+    ["hopf", "--ansatz", "HEA", "--theta", "0,0,0,0"],
+    ["hopf", "--ansatz", "hea", "--theta"],
+    ["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--metric", "diagonal"],
+    ["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--inversion", "Tikhonov"],
+    ["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--steps", "2.5"],
+    ["scan-landscape", "--ansatz", "hea", "--clip", "1"],
+    ["scan-landscape", "--ansatz", "hea", "--grid", "-x"],
+    ["validate", "--extra"],
+    ["nope"],
+    [],
+])
+def test_cli_argument_refusals_are_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    # argparse used to print a usage block of 2-7 lines before its message
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_reads_negative_numbers_as_values(tmp_path, capsys):
+    # argparse read only -1 and -0.5 style tokens as values, so these were refused as options
+    for theta, first in (("-0.1,0.2,0.3,0.4", -0.1), ("-.5,0,0,0", -0.5), ("-1e-1,0,0,0", -0.1)):
+        assert main(["hopf", "--ansatz", "hea", "--theta", theta]) == 0
+        assert json.loads(capsys.readouterr().out)["theta"][0] == first
+    prefix = tmp_path / "scan"
+    assert main(["scan-landscape", "--ansatz", "hea", "--grid", "5", "--clip", "-1e1", "8",
+                 "--out", str(prefix)]) == 0
+    assert json.loads((tmp_path / "scan_meta.json").read_text())["clip"] == [-10.0, 8.0]
+    capsys.readouterr()
+    # a non-finite bound now reaches the finite-bounds check, and a negative rate its own
+    for argv in (["scan-landscape", "--ansatz", "hea", "--clip", "-inf", "1"],
+                 ["scan-landscape", "--ansatz", "hea", "--clip", "-Infinity", "1"],
+                 ["scan-landscape", "--ansatz", "hea", "--clip", "-nan", "1"],
+                 ["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--lr", "-1e-2"]):
+        assert main([*argv, "--out", str(tmp_path / "refused")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert "clip bounds must be finite" in err or "learning_rate must be positive" in err
+    assert not (tmp_path / "refused").exists() and not (tmp_path / "refused.csv").exists()
 
 
 @pytest.mark.parametrize("flag,name", [("--lr", "learning_rate"), ("--rcond", "rcond"),

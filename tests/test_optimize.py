@@ -32,7 +32,16 @@ def test_config_validation():
         OptConfig(tol=0.0)
     with pytest.raises(ValueError):
         OptConfig(optimizer="adam")
-    assert OptConfig(metric_mode="diagonal").metric_mode == "diag"
+    # "diagonal" was an alias of "diag", removed so that each mode has one spelling
+    with pytest.raises(ValueError, match="unknown metric mode"):
+        OptConfig(metric_mode="diagonal")
+
+
+@pytest.mark.parametrize("inversion", ["tikhonov", "pinv", None, qgt.Tikhonov, 1e-3])
+def test_config_rejects_an_inversion_that_is_not_a_policy(inversion):
+    # "tikhonov" used to be accepted, and a run then died after writing its trial CSVs
+    with pytest.raises(ValueError, match="inversion must be a qgt.InversionPolicy"):
+        OptConfig(inversion=inversion)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -54,10 +56,22 @@ def test_mask_idempotent_and_exact_zeros():
 
 
 def test_mode_aliases():
-    assert qgt.canonical_mode("block_diagonal") == qgt.BLOCK
-    assert qgt.canonical_mode("diagonal") == qgt.DIAG
-    with pytest.raises(ValueError):
-        qgt.canonical_mode("sparse")
+    # each mode has one spelling; the aliases "diagonal" and "block_diagonal" were removed
+    assert [qgt.canonical_mode(mode) for mode in qgt.METRIC_MODES] == ["dense", "block", "diag"]
+    for mode in ("diagonal", "block_diagonal", "block-diagonal", "Block", " diag", "sparse"):
+        with pytest.raises(ValueError, match="unknown metric mode"):
+            qgt.canonical_mode(mode)
+        with pytest.raises(ValueError, match="unknown metric mode"):
+            qgt.block_mask("hea", mode)
+
+
+def test_each_inversion_policy_names_itself_once():
+    assert (qgt.PseudoInverse.name, qgt.Tikhonov.name) == ("pinv", "tikhonov")
+    # the name is a class constant, not a field: asdict and the constructor ignore it
+    assert asdict(qgt.PseudoInverse(2.0)) == {"rcond": 2.0}
+    assert asdict(qgt.Tikhonov(0.5)) == {"epsilon": 0.5}
+    with pytest.raises(TypeError):
+        qgt.Tikhonov(name="pinv")
 
 
 def test_hea_diagonal_metric_is_identity():
