@@ -254,19 +254,22 @@ def state_and_jacobian(kind: str, theta) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _concurrence(kind: str, t):
-    """Closed-form concurrence at the validated parameter columns t, clipped to [0, 1]."""
+    """Closed-form concurrence at the validated parameter columns t, which need only
+    broadcast together, clipped to [0, 1]. np.square, not ** 2: on a numpy scalar,
+    ** 2 is pow(), which can differ from the x * x of an array in the last bit."""
     if kind == HEA:
         c = np.abs(np.sin(2 * t[0]) * np.cos(2 * t[1]))
     elif kind == LDCA:
-        inner = 3.0 - 2.0 * np.cos(4 * t[2]) * np.cos(2 * t[4]) ** 2 - np.cos(4 * t[4])
+        inner = 3.0 - 2.0 * np.cos(4 * t[2]) * np.square(np.cos(2 * t[4])) - np.cos(4 * t[4])
         c = 0.5 * np.sqrt(np.clip(inner, 0.0, None))
     elif kind in (QGAN, QGAN_AUG):
         # appended single-qubit rotations of qgan-aug leave the concurrence alone
         c = np.abs(np.sin(t[0]) * np.sin(t[1]) * np.sin(t[4]))
     else:
-        a = np.sin(t[0]) ** 2 * np.sin(t[1]) ** 2 * (np.cos(t[2]) - np.cos(t[3] / 4)) ** 2
-        b = (np.sin(t[2]) * (np.cos(t[0]) * np.cos(t[1]) + 1)
-             - np.sin(t[0]) * np.sin(t[1]) * np.sin(t[3] / 4)) ** 2
+        a = (np.square(np.sin(t[0])) * np.square(np.sin(t[1]))
+             * np.square(np.cos(t[2]) - np.cos(t[3] / 4)))
+        b = np.square(np.sin(t[2]) * (np.cos(t[0]) * np.cos(t[1]) + 1)
+                      - np.sin(t[0]) * np.sin(t[1]) * np.sin(t[3] / 4))
         c = 0.5 * np.sqrt(a + b)
     return np.clip(c, 0.0, 1.0)
 
@@ -295,10 +298,16 @@ def ricci_closed_circuit(kind: str, theta) -> float:
 def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:
     """Vectorized per-circuit curvature R(C); C = 1 evaluates to -inf instead of raising."""
     kind = resolve_kind(kind)
-    c = _concurrence(kind, _columns(_check_theta(kind, theta)))
-    pole = c == 1.0
-    r = np.where(pole, -np.inf, ricci_closed(np.where(pole, 0.0, c)))
+    r = _ricci(kind, _columns(_check_theta(kind, theta)))
     return float(r) if np.ndim(r) == 0 else r
+
+
+def _ricci(kind: str, t):
+    """R(C) at the validated parameter columns t, which need only broadcast together;
+    -inf on the C = 1 pole."""
+    c = _concurrence(kind, t)
+    pole = c == 1.0
+    return np.where(pole, -np.inf, ricci_closed(np.where(pole, 0.0, c)))
 
 
 def random_parameters(kind: str, rng: np.random.Generator) -> np.ndarray:

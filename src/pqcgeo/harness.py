@@ -1,8 +1,12 @@
 """Experiment orchestration and result persistence.
 
 Everything here writes plain CSV/JSON; plotting is left to external
-consumers. A landscape scan holds its output grid plus one block of rows, and
-writes its grid CSVs one row at a time, each distinct value formatted once.
+consumers. A landscape scan evaluates the closed form per axis: each fixed
+parameter is one scalar, the column axis one (n,) vector and each block of 32
+rows one (rows, 1) vector, so every sine and cosine is taken once per axis
+value and only the products span the block. It writes its value CSV one row at
+a time, each distinct value of a row formatted once, and its clip mask as one
+byte array.
 A VQE run is run_vqe_experiment(kind, hamiltonian, opt, trials, out_dir) with
 a loaded vqe.Hamiltonian; its per-trial traces use the fixed column set
 
@@ -119,15 +123,17 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     base = np.zeros(m) if fixed_theta is None else np.asarray(fixed_theta, dtype=float)
     if base.shape != (m,):
         raise ValueError(f"fixed parameter vector must have length {m}")
+    base = ansatz._check_theta(kind, base)  # the scanned slots too, which meta records
     axis = np.linspace(0.0, 2.0 * np.pi, resolution)
     raw = np.empty((resolution, resolution))
+    # scalars and axis vectors: each sine and cosine once per axis value, and only the
+    # products broadcast, to (rows, n) or less where the closed form ignores an axis
+    cols = list(base)
+    cols[b] = axis
     for start in range(0, resolution, _ROW_BLOCK):
         rows = axis[start:start + _ROW_BLOCK]
-        # parameter-major, so that each closed form reads contiguous (rows, n) planes
-        block = np.broadcast_to(base[:, None, None], (m, rows.size, resolution)).copy()
-        block[a] = rows[:, None]
-        block[b] = axis[None, :]
-        raw[start:start + rows.size] = ansatz.ricci_circuit_grid(kind, block.transpose(1, 2, 0))
+        cols[a] = rows[:, None]
+        raw[start:start + rows.size] = ansatz._ricci(kind, cols)
     mask = (raw < lo) | (raw > hi)
     values = np.clip(raw, lo, hi, out=raw)
     meta = {"ansatz": kind, "scan_indices": [a, b], "fixed_theta": base.tolist(),
@@ -136,21 +142,29 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
         prefix = Path(out_prefix)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         _write_grid_csv(prefix.parent / (prefix.name + ".csv"), values)
-        _write_grid_csv(prefix.parent / (prefix.name + "_mask.csv"), mask.view(np.uint8))
+        _write_mask_csv(prefix.parent / (prefix.name + "_mask.csv"), mask)
         (prefix.parent / (prefix.name + "_meta.json")).write_text(
             json.dumps(meta, indent=1) + "\n", encoding="utf-8")
     return values, mask, meta
 
 
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
+    """A float64 grid as CSV, each value as repr() gives it."""
     # one row of Python objects alive at a time; each distinct bit pattern formatted once
-    fmt = repr if np.issubdtype(grid.dtype, np.floating) else str
-    bits = np.dtype(f"u{grid.dtype.itemsize}")
     with path.open("w", encoding="utf-8") as fh:
         for row in grid:
-            keys, inverse = np.unique(row.view(bits), return_inverse=True)
-            text = np.array([fmt(v) for v in keys.view(grid.dtype).tolist()], dtype=object)
+            keys, inverse = np.unique(row.view(np.uint64), return_inverse=True)
+            text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
             fh.write(",".join(text[inverse].tolist()) + "\n")
+
+
+def _write_mask_csv(path: Path, mask: np.ndarray) -> None:
+    """A boolean grid as a CSV of 0 and 1, built as one byte array: each cell's digit,
+    then ',' or, after a row's last cell, '\\n'."""
+    text = np.full((mask.shape[0], 2 * mask.shape[1]), ord(","), dtype=np.uint8)
+    np.add(mask, ord("0"), out=text[:, ::2], dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    path.write_bytes(text)
 
 
 # ---------------------------------------------------------------------------

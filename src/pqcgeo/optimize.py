@@ -41,13 +41,12 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        object.__setattr__(self, "learning_rate", qgt._positive_float(
+            self.learning_rate, "learning_rate"))
         object.__setattr__(self, "max_steps", _integer(
             self.max_steps, 1, "max_steps must be an integer of at least 1"))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        # tol = inf stops every run after its first step
+        object.__setattr__(self, "tol", qgt._positive_float(self.tol, "tol", finite=False))
         if self.optimizer not in (GD, QNG):
             raise ValueError(f"optimizer must be '{GD}' or '{QNG}'")
         object.__setattr__(self, "seed", _integer(

@@ -8,6 +8,8 @@ phases, which is why gauge parameters produce exactly-zero rows.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -21,6 +23,16 @@ DIAG = "diag"
 METRIC_MODES = (DENSE, BLOCK, DIAG)
 
 
+def _positive_float(value, name: str, finite: bool = True) -> float:
+    """float(value) for a real number above 0 that is not bool, and finite unless
+    finite is False; ValueError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 < value and (value < math.inf or not finite))):
+        raise ValueError(f"{name} must be positive{' and finite' if finite else ''}, "
+                         f"got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PseudoInverse:
     """Spectral pseudo-inverse keeping eigenvalues above rcond * lambda_max."""
@@ -29,8 +41,7 @@ class PseudoInverse:
     rcond: float = 1e-8
 
     def __post_init__(self):
-        if not 0 < self.rcond < np.inf:
-            raise ValueError(f"rcond must be positive and finite, got {self.rcond!r}")
+        object.__setattr__(self, "rcond", _positive_float(self.rcond, "rcond"))
 
 
 @dataclass(frozen=True)
@@ -41,8 +52,7 @@ class Tikhonov:
     epsilon: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", _positive_float(self.epsilon, "epsilon"))
 
 
 InversionPolicy = PseudoInverse | Tikhonov

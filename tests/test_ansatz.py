@@ -220,6 +220,17 @@ def test_ricci_closed_circuit_matches_the_thresholded_copy_it_replaced(kind):
             fn(kind, pole)
 
 
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_single_vector_closed_forms_are_the_batched_values_bit_for_bit(kind):
+    # a single vector's columns are numpy scalars, on which ** 2 used to be pow(), which
+    # can differ from the batched x * x in the last bit; ldca read other bits here
+    thetas = np.random.default_rng(RNG_SEED + 16).uniform(
+        0, 2 * np.pi, size=(2_000, ansatz.param_count(kind)))
+    c, r = ansatz.concurrence_closed(kind, thetas), ansatz.ricci_circuit_grid(kind, thetas)
+    assert [ansatz.concurrence_closed(kind, theta) for theta in thetas] == c.tolist()
+    assert [ansatz.ricci_circuit_grid(kind, theta) for theta in thetas] == r.tolist()
+
+
 def test_ricci_circuit_shea_pole_curve_stays_negative():
     # theta_1 = theta_2 = pi/2 puts C = 1 where theta_3 - theta_4/4 = pi; on an 801^2
     # grid over (theta_3, theta_4) that is the 201 cells (400 + k, 4 k)

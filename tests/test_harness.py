@@ -136,7 +136,6 @@ def _assert_writers_agree(tmp_path, grid):
 def test_grid_writer_matches_per_cell_reference_on_edge_values(tmp_path):
     edge = [-5.0, 10.0, -0.0, 0.0, 5e-324, 1e16, 0.1, -1.5e-7, 2.0 / 3.0]
     _assert_writers_agree(tmp_path, np.array(edge * 4).reshape(6, 6))
-    _assert_writers_agree(tmp_path, (np.arange(30).reshape(5, 6) % 3 == 0).astype(int))
 
 
 def test_grid_writer_matches_per_cell_reference_on_shea_pole_scan(tmp_path):
@@ -163,10 +162,29 @@ def test_grid_writer_matches_per_cell_reference_on_non_contiguous_grids(tmp_path
     for view in (grid.T, grid[:, ::2], grid[::-1, 1::3]):
         assert not view.flags.c_contiguous
         _assert_writers_agree(tmp_path, view)
-    mask = (grid > 4.0).astype(int)
-    mask[0], mask[1] = 0, 1
-    _assert_writers_agree(tmp_path, mask)
-    _assert_writers_agree(tmp_path, mask.T)
+
+
+def _assert_mask_writer_agrees(tmp_path, mask):
+    harness._write_mask_csv(tmp_path / "new.csv", mask)
+    _reference_write_grid_csv(tmp_path / "ref.csv", mask.astype(int))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_mask_writer_matches_per_cell_reference(tmp_path):
+    grid = np.round(np.random.default_rng(5).uniform(-5.0, 10.0, (40, 60)), 1)
+    mask = grid > 4.0
+    mask[0], mask[1] = False, True
+    for view in (mask, mask.T, mask[::-1, ::2], np.arange(30).reshape(5, 6) % 3 == 0,
+                 np.zeros((7, 3), dtype=bool), np.ones((3, 7), dtype=bool),
+                 np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)):
+        _assert_mask_writer_agrees(tmp_path, view)
+
+
+def test_mask_writer_holds_one_byte_array(tmp_path):
+    # the 801 x 801 mask text is 1.28 MB, written from the array without a copy
+    mask = np.random.default_rng(3).uniform(size=(801, 801)) < 0.3
+    assert _traced_peak_mb(harness._write_mask_csv, tmp_path / "mask.csv", mask) <= 1.5
+    _assert_mask_writer_agrees(tmp_path, mask)
 
 
 HALF_PI = np.pi / 2
@@ -221,6 +239,52 @@ def test_row_blocked_scan_is_bit_identical_to_one_whole_grid_call(kind):
             assert mask.tobytes() == ((raw < lo) | (raw > hi)).tobytes()
             if n == 201:
                 assert (raw < lo).any() and not mask.all()
+
+
+def _parameter_major_scan(kind, scan, fixed, n):
+    """The unclipped grid as the block path that per-axis scans replaced computed it:
+    every cell's parameter vector, in parameter-major blocks of _ROW_BLOCK rows."""
+    (a, b), m = scan, len(fixed)
+    axis = np.linspace(0.0, 2.0 * np.pi, n)
+    raw = np.empty((n, n))
+    for start in range(0, n, harness._ROW_BLOCK):
+        rows = axis[start:start + harness._ROW_BLOCK]
+        block = np.broadcast_to(fixed[:, None, None], (m, rows.size, n)).copy()
+        block[a] = rows[:, None]
+        block[b] = axis[None, :]
+        raw[start:start + rows.size] = ansatz.ricci_circuit_grid(kind, block.transpose(1, 2, 0))
+    return raw
+
+
+def _scan_layouts():
+    """(family, 0-based scan pair, fixed theta) of seeded random and pole layouts."""
+    rng = np.random.default_rng(16)
+    for kind in ansatz.ANSATZE:
+        m = ansatz.param_count(kind)
+        for _ in range(3):
+            a, b = rng.choice(m, 2, replace=False)
+            yield kind, (int(a), int(b)), rng.uniform(0.0, 2 * np.pi, m)
+        for scan, fixed in _pole_scans(kind):
+            yield kind, scan, fixed
+    # 1-based hea (3, 4) and qgan-aug (6, 7), which the closed form ignores, and hea
+    # (1, 3), of which it reads only the row angle
+    for kind, scan in (("hea", (2, 3)), ("qgan-aug", (5, 6)), ("hea", (0, 2))):
+        yield kind, scan, rng.uniform(0.0, 2 * np.pi, ansatz.param_count(kind))
+
+
+@pytest.mark.parametrize("n", [2, 5, harness._ROW_BLOCK + 1, 201])
+def test_per_axis_scan_is_bit_identical_to_the_parameter_major_block_path(n):
+    for kind, scan, fixed in _scan_layouts():
+        raw = _parameter_major_scan(kind, scan, fixed, n)
+        for lo, hi in (harness.DEFAULT_CLIP, (-5.0, 8.0)):
+            values, mask, _ = harness.scan_landscape(kind, scan, fixed_theta=fixed, resolution=n,
+                                                     clip=(lo, hi))
+            assert values.tobytes() == np.clip(raw, lo, hi).tobytes(), (kind, scan)
+            assert mask.tobytes() == ((raw < lo) | (raw > hi)).tobytes(), (kind, scan)
+        if scan in ((2, 3), (5, 6)) and kind in ("hea", "qgan-aug"):
+            assert (raw == raw[0, 0]).all()
+        elif (kind, scan) == ("hea", (0, 2)):
+            assert (raw == raw[:, :1]).all() and (n < 201 or (raw != raw[0]).any())
 
 
 def test_cli_scan_with_dotted_prefix_keeps_the_dot(tmp_path, capsys):
@@ -321,6 +385,17 @@ def test_non_finite_fixed_value_fails_before_any_file_is_written(tmp_path, capsy
                  "--out", str(prefix)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_fixed_value_at_a_scanned_slot_fails_before_any_file_is_written(tmp_path):
+    # the scanned slots used to be overwritten unchecked, and _meta.json then held NaN and
+    # Infinity, which strict JSON parsers refuse
+    prefix = tmp_path / "scan" / "bad"
+    for fixed in ([np.nan, np.inf, 0.3, 0.4], [0.0, np.nan, 0.3, 0.4], [-np.inf, 0.0, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="finite"):
+            harness.scan_landscape("hea", (0, 1), fixed_theta=fixed, resolution=5,
+                                   out_prefix=prefix)
     assert list(tmp_path.iterdir()) == []
 
 

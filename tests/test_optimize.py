@@ -56,6 +56,34 @@ def test_config_seed_accepts_numpy_integers_as_int():
     assert seed == 3 and type(seed) is int
 
 
+_FLOAT_SETTINGS = (("learning_rate", lambda v: OptConfig(learning_rate=v).learning_rate),
+                   ("tol", lambda v: OptConfig(tol=v).tol),
+                   ("rcond", lambda v: qgt.PseudoInverse(v).rcond),
+                   ("epsilon", lambda v: qgt.Tikhonov(v).epsilon))
+
+
+@pytest.mark.parametrize("name,setting", _FLOAT_SETTINGS)
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", "1", None, [0.1], 0, -1e-3,
+                                   np.nan, -np.inf])
+def test_float_settings_refuse_bool_text_and_non_positive_values(name, setting, value):
+    # True used to run as 1.0 and reach summary.json as true; text ended in a TypeError
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        setting(value)
+
+
+@pytest.mark.parametrize("name,setting", _FLOAT_SETTINGS)
+def test_float_settings_store_ints_and_numpy_floats_as_float(name, setting):
+    for value, expected in ((1, 1.0), (np.int64(2), 2.0), (np.float32(0.5), 0.5),
+                            (np.float64(1e-3), 1e-3), (0.25, 0.25)):
+        stored = setting(value)
+        assert type(stored) is float and stored == expected
+    if name == "tol":  # tol = inf stops every run after its first step
+        assert setting(np.inf) == np.inf
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got inf"):
+            setting(np.inf)
+
+
 def test_step_gd_fixed_point_and_arithmetic():
     cfg = _cfg()
     theta = np.array([1.0, 1.0])
