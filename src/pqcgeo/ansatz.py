@@ -32,7 +32,8 @@ shea (6 params), half angles for t1..t3, quarter angle for t4:
     a11 = -i exp(-i (t4 - 2 (t5+t6)) / 4) S(h1) C(h2)
 
 qgan-aug (9 params): the qgan state followed by R_X(t6), R_X(t7) and then
-R_Z(t8), R_Z(t9) on qubits 1 and 2 respectively (half-angle rotations).
+R_Z(t8), R_Z(t9) on qubits 1 and 2 respectively (half-angle rotations), each
+applied along its qubit's axis of the amplitudes viewed as a 2 x 2 array.
 """
 from __future__ import annotations
 
@@ -194,26 +195,32 @@ def _shea_state_jac(t, psi, jac):
 
 
 def _qgan_aug_state_jac(t, psi, jac):
-    psi_q, jac_q = _evaluate(QGAN, t[..., :5], jac is not None)
-    t8, t9 = _columns(t[..., 7:])
-    half = t[..., 5:7] / 2
-    rx = np.empty(half.shape + (2, 2), dtype=complex)  # R_X(t6) and R_X(t7)
-    rx[..., 0, 0] = rx[..., 1, 1] = np.cos(half)
-    rx[..., 0, 1] = rx[..., 1, 0] = -1j * np.sin(half)
-    # R_X(t6) (x) R_X(t7) as the outer product of the two 2 x 2 rotations
-    a = (rx[..., 0, :, None, :, None] * rx[..., 1, None, :, None, :]).reshape(psi.shape + (4,))
-    rz_diag = (np.exp(-0.5j * t8[..., None] * _Z1_DIAG)
-               * np.exp(-0.5j * t9[..., None] * _Z2_DIAG))
-    a_psi = (a @ psi_q[..., None])[..., 0]
-    np.multiply(rz_diag, a_psi, out=psi)
+    # the qgan state and its Jacobian columns side by side, amplitude |ij> at [..., i, j, :]
+    v = np.zeros(psi.shape + (1 if jac is None else 6,), dtype=complex)
+    _qgan_state_jac(t[..., :5], v[..., 0], None if jac is None else v[..., 1:])
+    v = v.reshape(psi.shape[:-1] + (2, 2, -1))
+    # R_Z(t8), R_Z(t9), applied last: the phase exp(-i t z / 2), z = +-1 along its qubit's axis
+    z = np.array([1, -1], dtype=complex)
+    rz = (np.exp(-0.5j * t[..., 7, None] * z)[..., :, None]
+          * np.exp(-0.5j * t[..., 8, None] * z)[..., None, :])
+    # R_X(t6), R_X(t7): cos(t/2) - i sin(t/2) X, where X reverses its qubit's axis
+    half = _columns(t[..., 5:7])[..., None, None, None] / 2
+    cos, msin = np.cos(half), -1j * np.sin(half)
+    x_v = np.empty_like(v)
+    for q, reversed_v in enumerate((v[..., ::-1, :, :], v[..., ::-1, :])):
+        np.multiply(msin[q], reversed_v, out=x_v)
+        v *= cos[q]
+        v += x_v
+    psi = np.multiply(rz, v[..., 0], out=psi.reshape(rz.shape))
     if jac is None:
         return
-    np.multiply(rz_diag[..., None], a @ jac_q, out=jac[..., :5])
-    # X1 and X2 permute the amplitudes
-    jac[..., 5] = rz_diag * (-0.5j * a_psi[..., [2, 3, 0, 1]])
-    jac[..., 6] = rz_diag * (-0.5j * a_psi[..., [1, 0, 3, 2]])
-    jac[..., 7] = -0.5j * _Z1_DIAG * psi
-    jac[..., 8] = -0.5j * _Z2_DIAG * psi
+    jac = jac.reshape(rz.shape + (9,))
+    np.multiply(rz[..., None], v[..., 1:], out=jac[..., :5])
+    # d R_X(t) / dt = -i/2 X R_X(t) and d R_Z(t) / dt = -i/2 Z R_Z(t)
+    jac[..., 5] = -0.5j * v[..., ::-1, :, 0] * rz
+    jac[..., 6] = -0.5j * v[..., ::-1, 0] * rz
+    jac[..., 7] = -0.5j * z[:, None] * psi
+    jac[..., 8] = -0.5j * z * psi
 
 
 _STATE_JAC = {

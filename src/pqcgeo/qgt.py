@@ -109,11 +109,14 @@ def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> n
 
     PseudoInverse: eigendecompose, invert eigenvalues above rcond * lambda_max,
     zero the rest; a metric with no eigenvalue above the cutoff gets the zero
-    matrix as its inverse. Tikhonov: plain (g + epsilon I)^-1.
+    matrix as its inverse. Tikhonov: plain (g + epsilon I)^-1. A metric with a
+    NaN or infinite entry raises ValueError.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("metric must be a square matrix")
+    if not np.isfinite(g).all():
+        raise ValueError("metric entries must be finite")
     g_t = g.swapaxes(-1, -2)
     if np.abs(g - g_t).max() > 1e-10:
         raise ValueError("metric must be symmetric")

@@ -39,10 +39,12 @@ def basis_state(label: str) -> np.ndarray:
 
 def require_normalized(state: np.ndarray) -> np.ndarray:
     """The state as a complex array; raises ValueError unless it is a (..., 4)
-    stack of amplitude vectors, each of unit norm within NORM_ATOL."""
+    stack of finite amplitude vectors, each of unit norm within NORM_ATOL."""
     state = np.asarray(state, dtype=complex)
     if state.ndim == 0 or state.shape[-1] != 4:
         raise ValueError(f"expected length-4 amplitude vectors, got shape {state.shape}")
+    if not np.isfinite(state).all():  # a NaN norm would pass the comparison below
+        raise ValueError("state amplitudes must be finite")
     deviation = np.abs(np.sqrt(np.vecdot(state, state).real) - 1.0)
     if (deviation > NORM_ATOL).any():
         raise ValueError(f"state is not normalized: ||psi|| is {deviation.max()!r} away from 1")

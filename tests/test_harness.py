@@ -869,11 +869,11 @@ def test_trace_outputs_match_the_record_based_reference(tmp_path, kind):
 # --- the gradient-check suite: batched by family, checked against its per-sample loop ---
 
 def _per_sample_gradient_deviations(rng):
-    """The gradient-check suite as it was: one Hamiltonian, one state_and_jacobian call and
-    one prepare_state call per sample. Returns its worst gradient and Jacobian deviations
-    and the (family, parameters) of each sample."""
+    """The gradient-check suite per sample: one Hamiltonian, one state_and_jacobian call and
+    one prepare_state call of the five-point stencil's shifts per sample. Returns its worst
+    gradient and Jacobian deviations and the (family, parameters) of each sample."""
     worst_g = worst_j = 0.0
-    h = 1e-5
+    h = 1e-3
     samples = []
     for _ in range(1000):
         kind = ansatz.ANSATZE[rng.integers(len(ansatz.ANSATZE))]
@@ -884,11 +884,19 @@ def _per_sample_gradient_deviations(rng):
         psi, jac = ansatz.state_and_jacobian(kind, theta)
         grad = vqe.gradient_from_state(ham, psi, jac)
         shift = h * np.eye(m)
-        psi_p, psi_m = ansatz.prepare_state(kind, np.stack([theta + shift, theta - shift]))
-        worst_j = max(worst_j, float(np.abs((psi_p - psi_m) / (2 * h) - jac.T).max()))
-        fd = (vqe.energy(ham, psi_p) - vqe.energy(ham, psi_m)) / (2 * h)
+        p2, p1, m1, m2 = ansatz.prepare_state(kind, np.stack([theta + 2 * shift, theta + shift,
+                                                              theta - shift, theta - 2 * shift]))
+        fd_jac = (8 * (p1 - m1) - (p2 - m2)) / (12 * h)
+        worst_j = max(worst_j, float(np.abs(fd_jac - jac.T).max()))
+        e2, e1, e_1, e_2 = (vqe.energy(ham, p) for p in (p2, p1, m1, m2))
+        fd = (8 * (e1 - e_1) - (e2 - e_2)) / (12 * h)
         worst_g = max(worst_g, float(np.abs(grad - fd).max()))
     return worst_g, worst_j, samples
+
+
+def _gradient_detail(worst_g, worst_j):
+    return (f"five-point h=1e-3: energy grad dev {worst_g:.2e}, "
+            f"jacobian dev {worst_j:.2e} (tol 1e-6)")
 
 
 def _batched_gradient_deviations(monkeypatch, rng):
@@ -942,11 +950,10 @@ def test_batched_gradient_suite_matches_the_per_sample_loop(monkeypatch, make_rn
     # the same states and Jacobians, batched: the Jacobian deviation keeps its bits
     assert worst_j == ref_j
     # The energies are sums over unit terms, rounded in another order. An energy of size
-    # up to sum|nu| (about 10 here) is known to a few ulps, about 5e-15, and the central
-    # difference divides that by 2h = 2e-5; two such roundings per difference give 5e-10.
-    # Measured: 1.2e-12 on the suite's own seed, at most 7.5e-11 over ten seeds.
-    assert abs(worst_g - ref_g) <= 5e-10
-    assert detail == f"energy grad dev {worst_g:.2e}, jacobian dev {worst_j:.2e} (tol 1e-6)"
+    # up to sum|nu| (about 10 here) is known to a few ulps, about 5e-15, and the stencil's
+    # weights sum to 18 / (12 h) = 1.5e3; two such roundings per difference give 1.5e-11.
+    assert abs(worst_g - ref_g) <= 1.5e-11
+    assert detail == _gradient_detail(worst_g, worst_j)
 
 
 def test_validation_rows_match_the_per_sample_gradient_suite_and_a_jacobian_state_path(
@@ -955,8 +962,7 @@ def test_validation_rows_match_the_per_sample_gradient_suite_and_a_jacobian_stat
 
     def reference_suite(rng):
         worst_g, worst_j, _ = _per_sample_gradient_deviations(rng)
-        return (worst_g <= 1e-6 and worst_j <= 1e-6,
-                f"energy grad dev {worst_g:.2e}, jacobian dev {worst_j:.2e} (tol 1e-6)")
+        return worst_g <= 1e-6 and worst_j <= 1e-6, _gradient_detail(worst_g, worst_j)
 
     # prepare_state as it was: the state half of a state and Jacobian evaluation
     monkeypatch.setattr(ansatz, "prepare_state",
@@ -1007,7 +1013,23 @@ def test_gradient_suite_checks_every_hamiltonian_term(monkeypatch, term):
     assert not ok, detail
 
 
+def test_gradient_suite_reads_a_gradient_error_of_1e_9(monkeypatch):
+    # The analytic gradient of H gains 1e-9 nu_1 in every component, nu_1 being the identity
+    # coefficient; nu_1 is standard normal, so the error is about 1e-9. The central difference
+    # at h = 1e-5 read about 8e-10 on correct code, so it could not tell this error from noise.
+    def figure(detail):
+        return float(detail.split("energy grad dev ")[1].split(",")[0])
+
+    ok, clean = _gradient_suite(np.random.default_rng(7))
+    assert ok, clean
+    original = vqe.gradient_from_state
+    monkeypatch.setattr(vqe, "gradient_from_state",
+                        lambda ham, psi, jac: original(ham, psi, jac) + 1e-9 * ham.nu[0])
+    ok, off = _gradient_suite(np.random.default_rng(7))
+    assert ok, off  # far inside the 1e-6 tolerance
+    assert figure(off) >= 10 * figure(clean), (clean, off)
+
+
 def test_gradient_suite_memory_is_bounded():
-    # 3.2 MB on a 2-CPU x86-64 host: the largest share is qgan-aug's (2, k, 9, 4) shifted
-    # states, the (2, k, 9, 4, 4) rotation products behind them and their temporaries
+    # the largest share is qgan-aug's (4, k, 9, 4) shifted states and their temporaries
     assert _traced_peak_mb(_gradient_suite, np.random.default_rng(7)) <= 4.0

@@ -160,6 +160,20 @@ def test_invert_metric_validates_input():
         qgt.Tikhonov(epsilon=-1.0)
 
 
+@pytest.mark.parametrize("policy", [qgt.PseudoInverse(), qgt.Tikhonov()],
+                         ids=["pinv", "tikhonov"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_metric_refuses_non_finite_metrics(policy, bad):
+    # a NaN metric gave a NaN inverse, and an infinite entry the zero matrix, which a QNG
+    # step takes as its fallback to plain gradient descent
+    g = np.stack([np.eye(3), np.eye(3)])
+    g[1, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qgt.invert_metric(g, policy)
+    with pytest.raises(ValueError, match="finite"):
+        qgt.invert_metric(g[1], policy)
+
+
 def test_invert_metric_result_symmetric():
     rng = np.random.default_rng(RNG_SEED + 9)
     for _ in range(100):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pqcgeo import simulator as sim
+from pqcgeo import geometry, simulator as sim
 
 RNG_SEED = 20260808
 
@@ -114,6 +114,29 @@ def test_expectation_linear_in_coefficients_and_phase_invariant():
 def test_expectation_rejects_unnormalized_state():
     with pytest.raises(ValueError, match="not normalized"):
         sim.expectation(np.array([1.0, 1.0, 0, 0]), sim.PauliObservable(((1.0, "Z1"),)))
+
+
+_NON_FINITE_STATES = {
+    "nan": [np.nan, 0, 0, 0],
+    "inf": [np.inf, 0, 0, 0],
+    "nan-imaginary": [1, complex(0, np.nan), 0, 0],
+    "inf-in-a-stack": [[1, 0, 0, 0], [0, complex(np.inf, 1), 0, 0]],
+}
+
+
+@pytest.mark.parametrize("state", _NON_FINITE_STATES.values(), ids=_NON_FINITE_STATES)
+@pytest.mark.parametrize("use", ["concurrence", "hopf_base", "hopf_fiber", "expectation"])
+def test_non_finite_amplitudes_are_refused(state, use):
+    # concurrence([nan, 0, 0, 0]) was nan and hopf_base gave theta_a = nan: a NaN norm
+    # deviation is not greater than the tolerance
+    state = np.array(state, dtype=complex)
+    call = {"concurrence": geometry.concurrence, "hopf_base": geometry.hopf_base,
+            "hopf_fiber": geometry.hopf_fiber,
+            "expectation": lambda v: sim.expectation(v, sim.PauliObservable(((1.0, "Z1"),)))}
+    if use == "hopf_base" and state.ndim > 1:
+        state = state[1]
+    with pytest.raises(ValueError, match="finite"):
+        call[use](state)
 
 
 def test_invalid_pauli_label_rejected():
