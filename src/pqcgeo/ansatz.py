@@ -1,10 +1,13 @@
 """The five two-qubit circuit families.
 
 Each family is defined canonically by a closed-form map from its parameter
-vector to a normalized statevector, together with a hand-differentiated
-analytic Jacobian and a closed-form concurrence C. The per-circuit scalar
-curvature is the universal R(C) of :func:`pqcgeo.geometry.ricci_closed`
-evaluated at that concurrence.
+vector to a normalized statevector, and by a closed-form concurrence C. The
+Jacobian column of a rotation angle is the map with that angle's (cos, sin)
+replaced by (-sin, cos), or by (-sin/2, cos/2) for a half angle; a phase
+angle's column is -i/2 times its diagonal generator times the state. A row's
+bits do not depend on the batch it is in. The per-circuit scalar curvature
+is the universal R(C) of :func:`pqcgeo.geometry.ricci_closed` evaluated at
+that concurrence.
 
 Closed-form state maps (notation C(x)=cos x, S(x)=sin x):
 
@@ -85,7 +88,9 @@ def _check_theta(kind: str, theta) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # state maps and Jacobians: each fills the zeroed state psi (..., 4) and
-# Jacobian jac (..., 4, m) at the parameters t (..., m); only psi if jac is None
+# Jacobian jac (..., 4, m) at the parameters t (..., m); only psi if jac is None.
+# _<family>_amps writes the amplitudes once; each is linear in the (cos, sin) factors
+# of every rotation angle, so putting their derivatives in gives that angle's column
 # ---------------------------------------------------------------------------
 
 def _columns(a):
@@ -98,41 +103,44 @@ def _put(out, *entries):
     _columns(out)[...] = entries
 
 
+def _hea_amps(c1, s1, c3, s3, cp, sp, cm, sm):
+    return (c1 * c3 * cp - s1 * s3 * sm, c1 * c3 * sp - s1 * s3 * cm,
+            c1 * s3 * cp + s1 * c3 * sm, s1 * c3 * cm + c1 * s3 * sp)
+
+
 def _hea_state_jac(t, psi, jac):
     t1, t2, t3, t4 = _columns(t)
     c1, s1, c3, s3 = np.cos(t1), np.sin(t1), np.cos(t3), np.sin(t3)
     cp, sp = np.cos(t2 + t4), np.sin(t2 + t4)
     cm, sm = np.cos(t2 - t4), np.sin(t2 - t4)
-    _put(psi, c1 * c3 * cp - s1 * s3 * sm, c1 * c3 * sp - s1 * s3 * cm,
-         c1 * s3 * cp + s1 * c3 * sm, s1 * c3 * cm + c1 * s3 * sp)
+    _put(psi, *_hea_amps(c1, s1, c3, s3, cp, sp, cm, sm))
     if jac is None:
         return
-    _put(jac[..., 0], -s1 * c3 * cp - c1 * s3 * sm, -s1 * c3 * sp - c1 * s3 * cm,
-         -s1 * s3 * cp + c1 * c3 * sm, c1 * c3 * cm - s1 * s3 * sp)
-    _put(jac[..., 1], -c1 * c3 * sp - s1 * s3 * cm, c1 * c3 * cp + s1 * s3 * sm,
-         -c1 * s3 * sp + s1 * c3 * cm, -s1 * c3 * sm + c1 * s3 * cp)
-    _put(jac[..., 2], -c1 * s3 * cp - s1 * c3 * sm, -c1 * s3 * sp - s1 * c3 * cm,
-         c1 * c3 * cp - s1 * s3 * sm, -s1 * s3 * cm + c1 * c3 * sp)
-    _put(jac[..., 3], -c1 * c3 * sp + s1 * s3 * cm, c1 * c3 * cp - s1 * s3 * sm,
-         -c1 * s3 * sp - s1 * c3 * cm, s1 * c3 * sm + c1 * s3 * cp)
+    _put(jac[..., 0], *_hea_amps(-s1, c1, c3, s3, cp, sp, cm, sm))
+    _put(jac[..., 1], *_hea_amps(c1, s1, c3, s3, -sp, cp, -sm, cm))
+    _put(jac[..., 2], *_hea_amps(c1, s1, -s3, c3, cp, sp, cm, sm))
+    _put(jac[..., 3], *_hea_amps(c1, s1, c3, s3, -sp, cp, sm, -cm))
+
+
+def _ldca_amps(e, c3, s3, c5, s5):
+    # named: numpy runs e * (temporary of 256 KiB+) in place, swapping non-commuting operands
+    a01, a10 = c3 * c5 - 1j * s3 * s5, -(s5 * c3 + 1j * s3 * c5)
+    return e * a01, e * a10
 
 
 def _ldca_state_jac(t, psi, jac):
     t1, t2, t3, t4, t5 = _columns(t)
     e = np.exp(-0.5j * (t1 - t2 - t4))
     c3, s3, c5, s5 = np.cos(t3), np.sin(t3), np.cos(t5), np.sin(t5)
-    psi[..., 1] = e * (c3 * c5 - 1j * s3 * s5)
-    psi[..., 2] = e * -(s5 * c3 + 1j * s3 * c5)
+    psi[..., 1], psi[..., 2] = _ldca_amps(e, c3, s3, c5, s5)
     if jac is None:
         return
     # t1, t2, t4 enter only through the overall phase
     jac[..., 0] = -0.5j * psi
     jac[..., 1] = 0.5j * psi
     jac[..., 3] = 0.5j * psi
-    jac[..., 1, 2] = e * (-s3 * c5 - 1j * c3 * s5)
-    jac[..., 2, 2] = e * (s3 * s5 - 1j * c3 * c5)
-    jac[..., 1, 4] = e * (-c3 * s5 - 1j * s3 * c5)
-    jac[..., 2, 4] = e * (-c3 * c5 + 1j * s3 * s5)
+    jac[..., 1, 2], jac[..., 2, 2] = _ldca_amps(e, -s3, c3, c5, s5)
+    jac[..., 1, 4], jac[..., 2, 4] = _ldca_amps(e, c3, s3, -s5, c5)
 
 
 _Z1_DIAG = np.array([1, 1, -1, -1], dtype=complex)
@@ -140,25 +148,30 @@ _Z2_DIAG = np.array([1, -1, 1, -1], dtype=complex)
 _Z1Z2_DIAG = np.array([1, -1, -1, 1], dtype=complex)
 
 
+def _qgan_amps(c1, s1, c2, s2, p00, p01, p10, p11):
+    return p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2
+
+
 def _qgan_state_jac(t, psi, jac):
     t1, t2, t3, t4, t5 = _columns(t)
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
-    p00 = np.exp(-0.5j * (t3 + t4 + t5))
-    p01 = np.exp(-0.5j * (t3 - t4 - t5))
-    p10 = np.exp(0.5j * (t3 - t4 + t5))
-    p11 = np.exp(0.5j * (t3 + t4 - t5))
-    _put(psi, p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2)
+    phases = (np.exp(-0.5j * (t3 + t4 + t5)), np.exp(-0.5j * (t3 - t4 - t5)),
+              np.exp(0.5j * (t3 - t4 + t5)), np.exp(0.5j * (t3 + t4 - t5)))
+    _put(psi, *_qgan_amps(c1, s1, c2, s2, *phases))
     if jac is None:
         return
-    _put(jac[..., 0], p00 * (-s1 / 2) * c2, -1j * p01 * (-s1 / 2) * s2,
-         -1j * p10 * (c1 / 2) * c2, -p11 * (c1 / 2) * s2)
-    _put(jac[..., 1], p00 * c1 * (-s2 / 2), -1j * p01 * c1 * (c2 / 2),
-         -1j * p10 * s1 * (-s2 / 2), -p11 * s1 * (c2 / 2))
+    _put(jac[..., 0], *_qgan_amps(-s1 / 2, c1 / 2, c2, s2, *phases))
+    _put(jac[..., 1], *_qgan_amps(c1, s1, -s2 / 2, c2 / 2, *phases))
     # t3, t4, t5 generate Z1, Z2, Z1Z2 phase patterns
     jac[..., 2] = -0.5j * psi * _Z1_DIAG
     jac[..., 3] = -0.5j * psi * _Z2_DIAG
     jac[..., 4] = -0.5j * psi * _Z1Z2_DIAG
+
+
+def _shea_amps(c1, s1, c2, s2, c3, s3, pa, pb, pg, pd):
+    b, g = c1 * c2 * c3 - 1j * s1 * s2 * s3, -s1 * s2 * c3 + 1j * c1 * c2 * s3  # named, as in ldca
+    return -1j * pa * c1 * s2, pb * b, pg * g, -1j * pd * s1 * c2
 
 
 def _shea_state_jac(t, psi, jac):
@@ -166,29 +179,15 @@ def _shea_state_jac(t, psi, jac):
     c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
     c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
     c3, s3 = np.cos(t3 / 2), np.sin(t3 / 2)
-    pa = np.exp(-0.5j * (t5 + t6))
-    pb = np.exp(-0.5j * (t5 - t6))
-    pg = np.exp(0.5j * (t5 - t6))
-    pd = np.exp(-0.25j * (t4 - 2 * (t5 + t6)))
-    _put(psi,
-         -1j * pa * c1 * s2,
-         pb * (c1 * c2 * c3 - 1j * s1 * s2 * s3),
-         pg * (-s1 * s2 * c3 + 1j * c1 * c2 * s3),
-         -1j * pd * s1 * c2)
+    phases = (np.exp(-0.5j * (t5 + t6)), np.exp(-0.5j * (t5 - t6)),
+              np.exp(0.5j * (t5 - t6)), np.exp(-0.25j * (t4 - 2 * (t5 + t6))))
+    _put(psi, *_shea_amps(c1, s1, c2, s2, c3, s3, *phases))
     if jac is None:
         return
-    _put(jac[..., 0],
-         -1j * pa * (-s1 / 2) * s2,
-         pb * ((-s1 / 2) * c2 * c3 - 1j * (c1 / 2) * s2 * s3),
-         pg * (-(c1 / 2) * s2 * c3 + 1j * (-s1 / 2) * c2 * s3),
-         -1j * pd * (c1 / 2) * c2)
-    _put(jac[..., 1],
-         -1j * pa * c1 * (c2 / 2),
-         pb * (c1 * (-s2 / 2) * c3 - 1j * s1 * (c2 / 2) * s3),
-         pg * (-s1 * (c2 / 2) * c3 + 1j * c1 * (-s2 / 2) * s3),
-         -1j * pd * s1 * (-s2 / 2))
-    jac[..., 1, 2] = pb * (c1 * c2 * (-s3 / 2) - 1j * s1 * s2 * (c3 / 2))
-    jac[..., 2, 2] = pg * (-s1 * s2 * (-s3 / 2) + 1j * c1 * c2 * (c3 / 2))
+    _put(jac[..., 0], *_shea_amps(-s1 / 2, c1 / 2, c2, s2, c3, s3, *phases))
+    _put(jac[..., 1], *_shea_amps(c1, s1, -s2 / 2, c2 / 2, c3, s3, *phases))
+    # t3 enters only |01> and |10>
+    jac[..., 1, 2], jac[..., 2, 2] = _shea_amps(c1, s1, c2, s2, -s3 / 2, c3 / 2, *phases)[1:3]
     jac[..., 3, 3] = -0.25j * psi[..., 3]
     jac[..., 4] = -0.5j * psi * _Z1_DIAG
     jac[..., 5] = -0.5j * psi * _Z2_DIAG

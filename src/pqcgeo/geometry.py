@@ -317,20 +317,18 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
     return float(r)
 
 
-def resolve_chart_convention(cs=None, tol: float = 1e-3) -> tuple[str, dict]:
+def resolve_chart_convention(tol: float = 1e-3) -> tuple[str, dict]:
     """Find which chart convention's numeric curvature matches ricci_closed.
 
     Returns the matching convention name plus the max |numeric - closed|
-    deviation per convention over the sampled concurrence values. Exactly one
-    convention is expected to match; a tie or an empty match raises.
+    deviation per convention over the nine concurrences 0.1, 0.2, ..., 0.9.
+    Exactly one convention is expected to match; a tie or an empty match raises.
     """
-    if cs is None:
-        cs = np.arange(0.1, 0.91, 0.1)
     angles = (0.7, 1.1, 1.3)  # generic chi, Phi, Theta away from coordinate poles
     devs = {}
     for conv in CHART_CONVENTIONS:
         worst = 0.0
-        for c in cs:
+        for c in np.arange(0.1, 0.91, 0.1):
             metric = _mfs_field(conv)
             r = scalar_curvature_numeric(metric, np.array([c, *angles]))
             worst = max(worst, abs(r - ricci_closed(c)))

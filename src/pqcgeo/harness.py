@@ -246,7 +246,7 @@ def _suite_curvature(rng: np.random.Generator) -> tuple[bool, str]:
         r_closed = geometry.ricci_closed(c[keep])
         worst = max(worst, float((np.abs(r_circ - r_closed) / (1.0 + np.abs(r_closed))).max()))
     s = np.linspace(-0.99, 0.99, 397)
-    pf = np.abs(12 + 1 / (s - 1) - 1 / (s + 1) - 2 * (6 * s**2 - 5) / (s**2 - 1)).max()
+    pf = np.abs(12 + 1 / (s - 1) - 1 / (s + 1) - geometry.ricci_closed(s)).max()
     t3, t5 = np.meshgrid(np.linspace(0.05, 0.7, 40), np.linspace(0.05, 0.7, 40))
     ldca_lhs = 12 - 2 / (np.cos(2 * t3) ** 2 * np.cos(2 * t5) ** 2)
     grid = np.stack([np.zeros_like(t3), np.zeros_like(t3), t3, np.zeros_like(t3), t5], axis=-1)

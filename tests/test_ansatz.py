@@ -90,6 +90,121 @@ def test_hea_first_column_zero_00_component_at_origin():
     assert abs(jac[0, 0]) < 1e-15
 
 
+# --- each amplitude formula written once, against the hand-differentiated maps it replaced ---
+
+def _ref_columns(a):
+    return a.transpose(-1, *range(a.ndim - 1))
+
+
+def _ref_put(out, *entries):
+    _ref_columns(out)[...] = entries
+
+
+_REF_Z1 = np.array([1, 1, -1, -1], dtype=complex)
+_REF_Z2 = np.array([1, -1, 1, -1], dtype=complex)
+_REF_Z1Z2 = np.array([1, -1, -1, 1], dtype=complex)
+
+
+def _ref_hea(t, psi, jac):
+    t1, t2, t3, t4 = _ref_columns(t)
+    c1, s1, c3, s3 = np.cos(t1), np.sin(t1), np.cos(t3), np.sin(t3)
+    cp, sp = np.cos(t2 + t4), np.sin(t2 + t4)
+    cm, sm = np.cos(t2 - t4), np.sin(t2 - t4)
+    _ref_put(psi, c1 * c3 * cp - s1 * s3 * sm, c1 * c3 * sp - s1 * s3 * cm,
+             c1 * s3 * cp + s1 * c3 * sm, s1 * c3 * cm + c1 * s3 * sp)
+    _ref_put(jac[..., 0], -s1 * c3 * cp - c1 * s3 * sm, -s1 * c3 * sp - c1 * s3 * cm,
+             -s1 * s3 * cp + c1 * c3 * sm, c1 * c3 * cm - s1 * s3 * sp)
+    _ref_put(jac[..., 1], -c1 * c3 * sp - s1 * s3 * cm, c1 * c3 * cp + s1 * s3 * sm,
+             -c1 * s3 * sp + s1 * c3 * cm, -s1 * c3 * sm + c1 * s3 * cp)
+    _ref_put(jac[..., 2], -c1 * s3 * cp - s1 * c3 * sm, -c1 * s3 * sp - s1 * c3 * cm,
+             c1 * c3 * cp - s1 * s3 * sm, -s1 * s3 * cm + c1 * c3 * sp)
+    _ref_put(jac[..., 3], -c1 * c3 * sp + s1 * s3 * cm, c1 * c3 * cp - s1 * s3 * sm,
+             -c1 * s3 * sp - s1 * c3 * cm, s1 * c3 * sm + c1 * s3 * cp)
+
+
+def _ref_ldca(t, psi, jac):
+    t1, t2, t3, t4, t5 = _ref_columns(t)
+    e = np.exp(-0.5j * (t1 - t2 - t4))
+    c3, s3, c5, s5 = np.cos(t3), np.sin(t3), np.cos(t5), np.sin(t5)
+    psi[..., 1] = e * (c3 * c5 - 1j * s3 * s5)
+    psi[..., 2] = e * -(s5 * c3 + 1j * s3 * c5)
+    jac[..., 0] = -0.5j * psi
+    jac[..., 1] = 0.5j * psi
+    jac[..., 3] = 0.5j * psi
+    jac[..., 1, 2] = e * (-s3 * c5 - 1j * c3 * s5)
+    jac[..., 2, 2] = e * (s3 * s5 - 1j * c3 * c5)
+    jac[..., 1, 4] = e * (-c3 * s5 - 1j * s3 * c5)
+    jac[..., 2, 4] = e * (-c3 * c5 + 1j * s3 * s5)
+
+
+def _ref_qgan(t, psi, jac):
+    t1, t2, t3, t4, t5 = _ref_columns(t)
+    c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
+    c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
+    p00 = np.exp(-0.5j * (t3 + t4 + t5))
+    p01 = np.exp(-0.5j * (t3 - t4 - t5))
+    p10 = np.exp(0.5j * (t3 - t4 + t5))
+    p11 = np.exp(0.5j * (t3 + t4 - t5))
+    _ref_put(psi, p00 * c1 * c2, -1j * p01 * c1 * s2, -1j * p10 * s1 * c2, -p11 * s1 * s2)
+    _ref_put(jac[..., 0], p00 * (-s1 / 2) * c2, -1j * p01 * (-s1 / 2) * s2,
+             -1j * p10 * (c1 / 2) * c2, -p11 * (c1 / 2) * s2)
+    _ref_put(jac[..., 1], p00 * c1 * (-s2 / 2), -1j * p01 * c1 * (c2 / 2),
+             -1j * p10 * s1 * (-s2 / 2), -p11 * s1 * (c2 / 2))
+    jac[..., 2] = -0.5j * psi * _REF_Z1
+    jac[..., 3] = -0.5j * psi * _REF_Z2
+    jac[..., 4] = -0.5j * psi * _REF_Z1Z2
+
+
+def _ref_shea(t, psi, jac):
+    t1, t2, t3, t4, t5, t6 = _ref_columns(t)
+    c1, s1 = np.cos(t1 / 2), np.sin(t1 / 2)
+    c2, s2 = np.cos(t2 / 2), np.sin(t2 / 2)
+    c3, s3 = np.cos(t3 / 2), np.sin(t3 / 2)
+    pa = np.exp(-0.5j * (t5 + t6))
+    pb = np.exp(-0.5j * (t5 - t6))
+    pg = np.exp(0.5j * (t5 - t6))
+    pd = np.exp(-0.25j * (t4 - 2 * (t5 + t6)))
+    _ref_put(psi, -1j * pa * c1 * s2, pb * (c1 * c2 * c3 - 1j * s1 * s2 * s3),
+             pg * (-s1 * s2 * c3 + 1j * c1 * c2 * s3), -1j * pd * s1 * c2)
+    _ref_put(jac[..., 0], -1j * pa * (-s1 / 2) * s2,
+             pb * ((-s1 / 2) * c2 * c3 - 1j * (c1 / 2) * s2 * s3),
+             pg * (-(c1 / 2) * s2 * c3 + 1j * (-s1 / 2) * c2 * s3), -1j * pd * (c1 / 2) * c2)
+    _ref_put(jac[..., 1], -1j * pa * c1 * (c2 / 2),
+             pb * (c1 * (-s2 / 2) * c3 - 1j * s1 * (c2 / 2) * s3),
+             pg * (-s1 * (c2 / 2) * c3 + 1j * c1 * (-s2 / 2) * s3), -1j * pd * s1 * (-s2 / 2))
+    jac[..., 1, 2] = pb * (c1 * c2 * (-s3 / 2) - 1j * s1 * s2 * (c3 / 2))
+    jac[..., 2, 2] = pg * (-s1 * s2 * (-s3 / 2) + 1j * c1 * c2 * (c3 / 2))
+    jac[..., 3, 3] = -0.25j * psi[..., 3]
+    jac[..., 4] = -0.5j * psi * _REF_Z1
+    jac[..., 5] = -0.5j * psi * _REF_Z2
+
+
+_REF_STATE_JAC = {HEA: _ref_hea, LDCA: _ref_ldca, QGAN: _ref_qgan, SHEA: _ref_shea}
+
+
+@pytest.mark.parametrize("kind", sorted(_REF_STATE_JAC))
+def test_state_and_jacobian_match_the_hand_differentiated_maps_they_replaced(kind):
+    # Byte equality, except ldca: where a (cos, sin) factor is exactly 0, some of its
+    # Jacobian entries are -0.0 where the hand-written signs gave +0.0 (equal values).
+    # Up to 10,000 rows: past 16,384 the replaced maps changed bits with the batch size.
+    rng = np.random.default_rng(RNG_SEED + 12)
+    m = ansatz.param_count(kind)
+    special = np.array([0.0, np.pi / 2, np.pi, np.pi / 4])
+    for shape in ((m,), (1, m), (7, m), (3, 5, m), (10_000, m)):
+        thetas = rng.uniform(-10, 10, shape)
+        flat = thetas.reshape(-1, m)
+        flat[::3] = special[rng.integers(4, size=flat[::3].shape)]
+        flat[0] = special[rng.integers(4, size=m)]
+        ref_psi = np.zeros(shape[:-1] + (4,), dtype=complex)
+        ref_jac = np.zeros(shape[:-1] + (4, m), dtype=complex)
+        _REF_STATE_JAC[kind](thetas, ref_psi, ref_jac)
+        psi, jac = ansatz.state_and_jacobian(kind, thetas)
+        if kind == LDCA:
+            assert np.array_equal(psi, ref_psi) and np.array_equal(jac, ref_jac)
+        else:
+            assert psi.tobytes() == ref_psi.tobytes() and jac.tobytes() == ref_jac.tobytes()
+
+
 # --- gate-level realizations cross-checked against the closed forms ---
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -442,15 +557,18 @@ def test_qgan_aug_matches_kron_reference_within_a_few_ulps():
         assert grad_dev <= 4 * eps * (1 + np.abs(ham.nu).sum())
 
 
-def test_qgan_aug_batched_jacobian_matches_per_row_calls_bit_for_bit():
-    # numpy computes a * b in place in b when b is a temporary of at least 256 KiB, here
-    # (4096, 2, 2) complex values, which swaps the operands; its SIMD complex product is not
-    # commutative bit for bit, so rz * (temporary) changed the last bit past 4,096 rows
-    thetas = np.random.default_rng(RNG_SEED + 11).uniform(0, 2 * np.pi, (4_500, 9))
-    psi, jac = ansatz.state_and_jacobian(QGAN_AUG, thetas)
-    rows = [ansatz.state_and_jacobian(QGAN_AUG, t) for t in thetas[::30]]
-    assert psi[::30].tobytes() == np.array([r[0] for r in rows]).tobytes()
-    assert jac[::30].tobytes() == np.array([r[1] for r in rows]).tobytes()
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_batched_rows_match_one_row_calls_bit_for_bit(kind):
+    # numpy computes a * b in place in b when b is a temporary of at least 256 KiB, which
+    # swaps the operands, and its SIMD complex product is not commutative bit for bit: a
+    # temporary on the right would tie a row's last bit to its batch past 4,096 rows
+    # (qgan-aug) or 16,384 rows (ldca, shea), and run_optimization must give a run_trials row
+    m = ansatz.param_count(kind)
+    thetas = np.random.default_rng(RNG_SEED + 11).uniform(0, 2 * np.pi, (20_000, m))
+    psi, jac = ansatz.state_and_jacobian(kind, thetas)
+    rows = [ansatz.state_and_jacobian(kind, t[None]) for t in thetas[::100]]
+    assert psi[::100].tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
+    assert jac[::100].tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
 
 
 # --- the state-only path: prepare_state fills the state and builds no Jacobian ---

@@ -1,13 +1,14 @@
 import argparse
 import json
 import math
+import re
 import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from pqcgeo import ansatz, cli, harness, optimize, qgt, vqe
+from pqcgeo import ansatz, cli, geometry, harness, optimize, qgt, vqe
 from pqcgeo.cli import main
 
 def _experiment(out_dir, trials=2, opt=None):
@@ -456,6 +457,16 @@ def test_curvature_suite_catches_a_perturbed_closed_form(monkeypatch):
     suite = dict(harness.VALIDATION_SUITES)["curvature-consistency"]
     ok, detail = suite(np.random.default_rng(7))
     assert not ok, detail
+
+
+def test_curvature_suite_checks_the_partial_fractions_against_ricci_closed(monkeypatch):
+    # the partial-fraction check must read geometry.ricci_closed, not a copy of R(C)
+    original = geometry.ricci_closed
+    monkeypatch.setattr(geometry, "ricci_closed", lambda c: original(c) * (1 + 1e-6))
+    suite = dict(harness.VALIDATION_SUITES)["curvature-consistency"]
+    ok, detail = suite(np.random.default_rng(7))
+    assert not ok
+    assert float(re.search(r"partial-fraction dev (\S+),", detail).group(1)) > 1e-5, detail
 
 
 def test_curvature_and_concurrence_suites_draw_different_points(monkeypatch):
