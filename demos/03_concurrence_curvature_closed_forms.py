@@ -20,8 +20,8 @@ rng = np.random.default_rng(2)
 print("closed-form concurrence vs brute-force 2|ad - bc| (200 random draws each):")
 for kind in ansatz.ANSATZE:
     thetas = rng.uniform(0, 2 * np.pi, size=(200, ansatz.param_count(kind)))
-    closed = np.asarray(ansatz.concurrence_closed(kind, thetas))
-    brute = geometry.concurrence(np.array([ansatz.prepare_state(kind, t) for t in thetas]))
+    closed = ansatz.concurrence_closed(kind, thetas)
+    brute = geometry.concurrence(ansatz.prepare_state(kind, thetas))
     print(f"  {kind:>8s}: max deviation {np.abs(closed - brute).max():.2e}")
 
 print("\nuniversal curvature curve at a few concurrences:")

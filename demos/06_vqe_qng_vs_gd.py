@@ -9,11 +9,9 @@ local gates cannot change concurrence at fixed core parameters.
 
 Run:  python demos/06_vqe_qng_vs_gd.py        (about 2 s)
 """
-import math
-
 import numpy as np
 
-from pqcgeo import ansatz, optimize, vqe
+from pqcgeo import ansatz, harness, optimize, vqe
 
 TRIALS = 20
 ham = vqe.load_bundled("entangled")
@@ -25,13 +23,13 @@ for kind in (ansatz.LDCA, ansatz.HEA, ansatz.SHEA, ansatz.QGAN, ansatz.QGAN_AUG)
     for opt, mode in (("qng", "block"), ("gd", "block")):
         cfg = optimize.OptConfig(optimizer=opt, metric_mode=mode, seed=17)
         traces = optimize.run_trials(kind, ham, cfg, TRIALS)
-        stt = [optimize.steps_to_threshold(t, 1e-3) for t in traces]
-        reached = sum(s is not None for s in stt)
-        med = float(np.median([s if s is not None else math.inf for s in stt]))
+        summary = harness.summarize(traces, cfg)
+        reached = round(summary["reached_fraction"] * TRIALS)
+        med = summary["median_steps_to_threshold"]
         final_c = np.mean([t.concurrence[-1] for t in traces])
         final_r = np.mean([t.ricci[-1] for t in traces])
         print(f"{kind:>9s} {opt + '-' + mode:>10s}  {reached:3d}/{TRIALS:<3d} "
-              f"{med if math.isfinite(med) else float('nan'):10.1f}  "
+              f"{float('nan') if med is None else med:10.1f}  "
               f"{final_c:8.3f} {final_r:+9.1f}")
 
 print("\ncurvature along one ldca natural-gradient path:")

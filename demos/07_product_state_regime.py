@@ -8,7 +8,7 @@ Run:  python demos/07_product_state_regime.py
 """
 import numpy as np
 
-from pqcgeo import ansatz, optimize, vqe
+from pqcgeo import ansatz, harness, optimize, vqe
 
 ham = vqe.load_bundled("product")
 gt = vqe.exact_ground(ham)
@@ -20,7 +20,7 @@ traces = optimize.run_trials(ansatz.LDCA, ham, cfg, 20)
 start_c = np.mean([t.concurrence[0] for t in traces])
 end_c = np.mean([t.concurrence[-1] for t in traces])
 end_r = np.mean([t.ricci[-1] for t in traces])
-reached = sum(optimize.steps_to_threshold(t, 1e-3) is not None for t in traces)
+reached = round(harness.summarize(traces, cfg)["reached_fraction"] * 20)
 print(f"ldca + qng(block), 20 trials: {reached}/20 reach 1e-3 Ha")
 print(f"mean concurrence {start_c:.3f} (start) -> {end_c:.5f} (end)")
 print(f"mean final curvature {end_r:+.3f} (hill top is +10)")

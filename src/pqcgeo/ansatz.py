@@ -5,9 +5,9 @@ vector to a normalized statevector, and by a closed-form concurrence C. The
 Jacobian column of a rotation angle is the map with that angle's (cos, sin)
 replaced by (-sin, cos), or by (-sin/2, cos/2) for a half angle; a phase
 angle's column is -i/2 times its diagonal generator times the state. A row's
-bits do not depend on the batch it is in. The per-circuit scalar curvature
-is the universal R(C) of :func:`pqcgeo.geometry.ricci_closed` evaluated at
-that concurrence.
+bits do not depend on the batch it is in; a single vector is a one-row batch,
+so it gets its batched row's bits. The per-circuit scalar curvature is the
+universal R(C) of :func:`pqcgeo.geometry.ricci_closed` at that concurrence.
 
 Closed-form state maps (notation C(x)=cos x, S(x)=sin x):
 
@@ -87,8 +87,8 @@ def _check_theta(kind: str, theta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# state maps and Jacobians: each fills the zeroed state psi (..., 4) and
-# Jacobian jac (..., 4, m) at the parameters t (..., m); only psi if jac is None.
+# state maps and Jacobians: each fills the zeroed state psi (B, 4) and
+# Jacobian jac (B, 4, m) at the parameter rows t (B, m); only psi if jac is None.
 # _<family>_amps writes the amplitudes once; each is linear in the (cos, sin) factors
 # of every rotation angle, so putting their derivatives in gives that angle's column
 # ---------------------------------------------------------------------------
@@ -234,10 +234,13 @@ _STATE_JAC = {
 def _evaluate(kind: str, theta, with_jac: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     kind = resolve_kind(kind)
     t = _check_theta(kind, theta)
-    psi = np.zeros(t.shape[:-1] + (4,), dtype=complex)
-    jac = np.zeros(t.shape[:-1] + (4, t.shape[-1]), dtype=complex) if with_jac else None
-    _STATE_JAC[kind](t, psi, jac)
-    return psi, jac
+    lead, m = t.shape[:-1], t.shape[-1]
+    # the maps see (B, m) rows only: numpy scalars round complex products otherwise
+    rows = t.reshape(-1, m)
+    psi = np.zeros((len(rows), 4), dtype=complex)
+    jac = np.zeros((len(rows), 4, m), dtype=complex) if with_jac else None
+    _STATE_JAC[kind](rows, psi, jac)
+    return psi.reshape(lead + (4,)), None if jac is None else jac.reshape(lead + (4, m))
 
 
 def prepare_state(kind: str, theta) -> np.ndarray:

@@ -88,7 +88,8 @@ def base_coordinates(state) -> np.ndarray:
     a, b, g, d = (state[..., k] for k in range(4))
     s = np.conj(a) * g + np.conj(b) * d
     t = a * d - b * g
-    return np.stack([np.abs(a) ** 2 + np.abs(b) ** 2 - np.abs(g) ** 2 - np.abs(d) ** 2,
+    p = np.square(np.abs(state))  # not ** 2, which is pow() on a numpy scalar
+    return np.stack([p[..., 0] + p[..., 1] - p[..., 2] - p[..., 3],
                      2.0 * s.real, -2.0 * t.imag, 2.0 * t.real, 2.0 * s.imag], axis=-1)
 
 

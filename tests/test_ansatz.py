@@ -484,15 +484,14 @@ def test_batched_state_maps_match_per_row_calls(kind):
     thetas = rng.uniform(0, 2 * np.pi, (7, 3, m))
     psi, jac = ansatz.state_and_jacobian(kind, thetas)
     assert psi.shape == (7, 3, 4) and jac.shape == (7, 3, 4, m)
-    close = dict(rtol=0, atol=1e-15)
-    np.testing.assert_allclose(psi, _per_row(lambda t: ansatz.state_and_jacobian(kind, t)[0],
-                                             thetas), **close)
-    np.testing.assert_allclose(jac, _per_row(lambda t: ansatz.state_and_jacobian(kind, t)[1],
-                                             thetas), **close)
-    np.testing.assert_allclose(ansatz.prepare_state(kind, thetas),
-                               _per_row(lambda t: ansatz.prepare_state(kind, t), thetas), **close)
-    np.testing.assert_allclose(ansatz.state_jacobian(kind, thetas),
-                               _per_row(lambda t: ansatz.state_jacobian(kind, t), thetas), **close)
+    # a single vector is a one-row batch, so every family's rows match bit for bit
+    for batched, fn in ((psi, lambda t: ansatz.state_and_jacobian(kind, t)[0]),
+                        (jac, lambda t: ansatz.state_and_jacobian(kind, t)[1]),
+                        (ansatz.prepare_state(kind, thetas),
+                         lambda t: ansatz.prepare_state(kind, t)),
+                        (ansatz.state_jacobian(kind, thetas),
+                         lambda t: ansatz.state_jacobian(kind, t))):
+        assert batched.tobytes() == _per_row(fn, thetas).tobytes()
 
 
 def test_batched_parameters_validated_and_curvature_single_vector():
@@ -566,9 +565,9 @@ def test_batched_rows_match_one_row_calls_bit_for_bit(kind):
     m = ansatz.param_count(kind)
     thetas = np.random.default_rng(RNG_SEED + 11).uniform(0, 2 * np.pi, (20_000, m))
     psi, jac = ansatz.state_and_jacobian(kind, thetas)
-    rows = [ansatz.state_and_jacobian(kind, t[None]) for t in thetas[::100]]
-    assert psi[::100].tobytes() == np.concatenate([r[0] for r in rows]).tobytes()
-    assert jac[::100].tobytes() == np.concatenate([r[1] for r in rows]).tobytes()
+    rows = [ansatz.state_and_jacobian(kind, t) for t in thetas[::100]]
+    assert psi[::100].tobytes() == np.array([r[0] for r in rows]).tobytes()
+    assert jac[::100].tobytes() == np.array([r[1] for r in rows]).tobytes()
 
 
 # --- the state-only path: prepare_state fills the state and builds no Jacobian ---

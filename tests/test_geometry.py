@@ -434,7 +434,9 @@ def test_batched_fiber_rows_match_scalar_reference(convention):
     states = np.concatenate([states[:1000], special, states[1000:]])
     f = geo.hopf_fiber(states, convention=convention)
     assert f.q_plus.shape == f.q_minus.shape == (len(states), 4)
+    x = geo.base_coordinates(states)
     for k, state in enumerate(states):
+        assert geo.base_coordinates(state).tobytes() == x[k].tobytes()
         q_plus, q_minus, z, w, gamma_p, gamma_m = _ref_hopf_fiber(state, convention)
         assert (f.gamma_plus[k], f.gamma_minus[k], f.z[k], f.w[k]) == (gamma_p, gamma_m, z, w)
         assert np.abs(f.q_plus[k] - q_plus).max() <= 2.3e-16

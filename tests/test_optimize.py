@@ -300,22 +300,11 @@ def test_single_evaluation_loop_matches_reference_bit_for_bit(kind):
             step, theta, e, err, c, ricci, gnorm, fallback = map(np.array, zip(*want))
             assert np.array_equal(step, np.arange(len(got)))
             assert np.array_equal(got.qng_fallback, fallback)
-            if kind not in (ansatz.LDCA, ansatz.SHEA):
-                assert np.array_equal(got.theta, theta)
-                for column, value in ((got.energy, e), (got.energy_error, err),
-                                      (got.concurrence, c), (got.ricci, ricci),
-                                      (got.grad_norm, gnorm)):
-                    assert np.array_equal(column, value)
-                continue
-            # the ldca and shea maps multiply complex by complex, which numpy
-            # rounds differently for the (m,) parameters of the old loop and
-            # the (1, m) stack of the engine: last-bit differences only
-            assert np.abs(got.theta - theta).max() <= 1e-9
-            assert max(np.abs(got.energy - e).max(), np.abs(got.energy_error - err).max(),
-                       np.abs(got.concurrence - c).max(),
-                       np.abs(got.grad_norm - gnorm).max()) <= 1e-9
-            assert got.ricci.tolist() == [geometry.ricci_closed(min(v, optimize.RICCI_CLAMP))
-                                          for v in got.concurrence.tolist()]
+            assert np.array_equal(got.theta, theta)
+            for column, value in ((got.energy, e), (got.energy_error, err),
+                                  (got.concurrence, c), (got.ricci, ricci),
+                                  (got.grad_norm, gnorm)):
+                assert np.array_equal(column, value)
 
 
 @pytest.mark.parametrize("kind", ansatz.ANSATZE)
