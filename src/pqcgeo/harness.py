@@ -5,8 +5,10 @@ consumers. A landscape scan evaluates the closed form per axis: each fixed
 parameter is one scalar, the column axis one (n,) vector and each block of 32
 rows one (rows, 1) vector, so every sine and cosine is taken once per axis
 value and only the products span the block. It writes its value CSV one row at
-a time, each distinct value of a row formatted once, and its clip mask as one
-byte array.
+a time: a row whose bits equal an earlier row's is written from that row's
+text, and a distinct row formats each of its distinct values once, so the
+writer holds one row of Python objects plus the text of the rows still to be
+repeated. Its clip mask is written as one byte array.
 A VQE run is run_vqe_experiment(kind, hamiltonian, opt, trials, out_dir) with
 a loaded vqe.Hamiltonian; its per-trial traces use the fixed column set
 
@@ -149,13 +151,38 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
 
 
 def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
-    """A float64 grid as CSV, each value as repr() gives it."""
-    # one row of Python objects alive at a time; each distinct bit pattern formatted once
+    """A float64 grid as CSV, each value as repr() gives it.
+
+    A row whose bits equal an earlier row's is written from that row's text, which is
+    kept from its first occurrence to its last repeat; a distinct row formats each of its
+    distinct bit patterns once. The writer holds one row of Python objects plus the text
+    of the rows still to be repeated.
+    """
+    bits = grid.view(np.uint64)
+    # pass 1: each row's earliest equal row, and the last repeat of each repeated row;
+    # rows are equal by bits, so -0.0 and 0.0, or NaNs of either sign, stay apart
+    first, last, seen = list(range(len(bits))), {}, {}
+    for i, row in enumerate(bits):
+        candidates = seen.setdefault(hash(row.tobytes()), [])
+        for j in candidates:
+            if np.array_equal(bits[j], row):  # a hash collision costs a format, not a wrong row
+                first[i], last[j] = j, i
+                break
+        else:
+            candidates.append(i)
+    text = {}
     with path.open("w", encoding="utf-8") as fh:
-        for row in grid:
-            keys, inverse = np.unique(row.view(np.uint64), return_inverse=True)
-            text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-            fh.write(",".join(text[inverse].tolist()) + "\n")
+        for i, row in enumerate(bits):
+            j = first[i]
+            if j == i:
+                keys, inverse = np.unique(row, return_inverse=True)
+                words = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+                line = ",".join(words[inverse].tolist()) + "\n"
+                if i in last:
+                    text[i] = line
+            else:
+                line = text.pop(j) if last[j] == i else text[j]
+            fh.write(line)
 
 
 def _write_mask_csv(path: Path, mask: np.ndarray) -> None:
@@ -267,8 +294,7 @@ def _suite_qgt(rng: np.random.Generator) -> tuple[bool, str]:
         psi, jac = ansatz.state_and_jacobian(kind, thetas)
         g = qgt.qgt_from_state(psi, jac)
         herm_worst = max(herm_worst, float(np.abs(g - g.conj().swapaxes(-1, -2)).max()))
-        del g  # freed before the metric builds its own QGT: the suite's memory peak
-        w = np.linalg.eigvalsh(qgt.fs_metric_from_state(psi, jac, qgt.block_mask(kind, qgt.DENSE)))
+        w = np.linalg.eigvalsh(qgt._metric_from_qgt(g, qgt.block_mask(kind, qgt.DENSE)))
         psd_worst = min(psd_worst, float(w[:, 0].min()))
         lam_min[kind] = w[:, 0]
     ok &= herm_worst <= 1e-10 and psd_worst >= -1e-10

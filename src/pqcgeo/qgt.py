@@ -92,11 +92,16 @@ def block_mask(kind: str, mode: str = BLOCK) -> np.ndarray:
     return mask
 
 
+def _metric_from_qgt(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Re(g), exactly symmetrized, with the entries where mask is False exactly zero."""
+    g = g.real
+    return np.where(mask, 0.5 * (g + g.swapaxes(-1, -2)), 0.0)
+
+
 def fs_metric_from_state(psi: np.ndarray, jac: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Fubini-Study metric Re(QGT) from a state and its Jacobian, exactly
     symmetrized; entries where the block_mask result is False are exactly zero."""
-    g = qgt_from_state(psi, jac).real
-    return np.where(mask, 0.5 * (g + g.swapaxes(-1, -2)), 0.0)
+    return _metric_from_qgt(qgt_from_state(psi, jac), mask)
 
 
 def fs_metric(kind: str, theta, mode: str = DENSE) -> np.ndarray:

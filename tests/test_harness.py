@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import re
@@ -165,6 +166,57 @@ def test_grid_writer_matches_per_cell_reference_on_non_contiguous_grids(tmp_path
         _assert_writers_agree(tmp_path, view)
 
 
+def test_grid_writer_matches_per_cell_reference_on_repeated_rows(tmp_path):
+    rng = np.random.default_rng(20)
+    half = rng.uniform(-5.0, 10.0, (30, 12))
+    few = np.round(rng.uniform(-5.0, 10.0, (4, 12)), 1)
+    for grid in (np.concatenate([half, half[::-1]]),  # the second half mirrors the first
+                 np.concatenate([half, half[-2::-1]]),  # mirrored about a middle row
+                 np.concatenate([half[:1], half, half[:1], half[:2]]),  # repeats far apart
+                 few[rng.integers(0, 4, 50)], np.repeat(few, 3, axis=0), few[[0] * 5]):
+        assert len(np.unique(grid, axis=0)) < len(grid)
+        _assert_writers_agree(tmp_path, grid)
+
+
+def _rows_that_differ_only_in_a_sign_bit():
+    """Rows that differ from an earlier row only in a zero's or a NaN's sign bit,
+    each repeated."""
+    row = np.array([1.5, 0.0, -2.25, 0.0, 7.0])
+    neg_zero, nan, neg_nan = row.copy(), row.copy(), row.copy()
+    neg_zero[1] = -0.0
+    nan[2], neg_nan[2] = np.nan, -np.float64(np.nan)
+    assert np.signbit(neg_nan[2]) and not np.signbit(nan[2])
+    return np.array([row, neg_zero, nan, neg_nan, row, neg_nan, neg_zero, nan, row, neg_zero])
+
+
+def test_grid_writer_keeps_rows_that_differ_only_in_a_sign_bit_apart(tmp_path):
+    # merged by float equality, the -0.0 row would be written as the 0.0 row
+    _assert_writers_agree(tmp_path, _rows_that_differ_only_in_a_sign_bit())
+
+
+def test_grid_writer_matches_per_cell_reference_on_non_contiguous_repeated_rows(tmp_path):
+    rng = np.random.default_rng(21)
+    base = np.round(rng.uniform(-5.0, 10.0, (6, 6)), 1)
+    # rows and columns repeat
+    grid = np.ascontiguousarray(base[rng.integers(0, 6, 30)][:, rng.integers(0, 6, 40)])
+    for view in (grid.T, grid[::-1, ::2], grid[1::2, ::-3]):
+        assert not view.flags.c_contiguous
+        assert len(np.unique(view, axis=0)) < len(view)
+        _assert_writers_agree(tmp_path, view)
+
+
+def test_grid_writer_confirms_each_hash_match_by_its_bits(tmp_path, monkeypatch):
+    # every row on one hash key: each row is compared with each distinct earlier row
+    hashed = []
+    monkeypatch.setattr(harness, "hash", lambda data: hashed.append(len(data)) or 0,
+                        raising=False)
+    rng = np.random.default_rng(22)
+    few = np.round(rng.uniform(-5.0, 10.0, (5, 5)), 1)
+    grid = np.concatenate([_rows_that_differ_only_in_a_sign_bit(), few[rng.integers(0, 5, 20)]])
+    _assert_writers_agree(tmp_path, grid)
+    assert len(hashed) == len(grid)
+
+
 def _assert_mask_writer_agrees(tmp_path, mask):
     harness._write_mask_csv(tmp_path / "new.csv", mask)
     _reference_write_grid_csv(tmp_path / "ref.csv", mask.astype(int))
@@ -213,9 +265,11 @@ def _pole_scans(kind):
 
 @pytest.mark.parametrize("kind", sorted(POLE_LAYOUTS))
 def test_grid_writer_matches_per_cell_reference_on_pole_scans(tmp_path, kind):
-    for scan, fixed in _pole_scans(kind):
+    # the two clips repeat different rows
+    for (scan, fixed), clip in itertools.product(_pole_scans(kind), (harness.DEFAULT_CLIP,
+                                                                     (-5.0, 8.0))):
         values, mask, _ = harness.scan_landscape(kind, scan, fixed_theta=fixed, resolution=201,
-                                                 clip=(-5.0, 8.0), out_prefix=tmp_path / "pole")
+                                                 clip=clip, out_prefix=tmp_path / "pole")
         assert mask.any() and not mask.all()
         for name, grid in (("pole.csv", values), ("pole_mask.csv", mask.astype(int))):
             _reference_write_grid_csv(tmp_path / "ref.csv", grid)
@@ -309,6 +363,32 @@ def test_grid_writer_holds_one_row_of_python_objects(tmp_path):
     # building the whole 801 x 801 grid as Python objects takes about 30 MB
     grid = np.random.default_rng(3).uniform(-5.0, 10.0, (801, 801))
     assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "grid.csv", grid) < 1.0
+
+
+def test_grid_writer_holds_the_text_of_rows_still_to_be_repeated(tmp_path):
+    # rows 401.. mirror rows 399..0, so the text of rows 0..399, about half the
+    # 11.45 MB file, is kept until their repeats begin
+    grid = np.random.default_rng(3).uniform(-5.0, 10.0, (801, 801))
+    grid[401:] = grid[399::-1]
+    path = tmp_path / "grid.csv"
+    peak = _traced_peak_mb(harness._write_grid_csv, path, grid)
+    assert peak <= path.stat().st_size / 2 / 2**20 + 1.0
+    _reference_write_grid_csv(tmp_path / "ref.csv", grid)
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_grid_writer_drops_the_text_of_a_row_after_its_last_repeat(tmp_path):
+    # each row repeats once, right after itself: the text of one row is kept at a time
+    grid = np.repeat(np.random.default_rng(3).uniform(-5.0, 10.0, (400, 801)), 2, axis=0)
+    assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "grid.csv", grid) < 1.0
+
+
+def test_grid_writer_on_the_shea_pole_scan_holds_under_1_mb(tmp_path):
+    fixed = np.array([HALF_PI, HALF_PI, 0.0, 0.0, 0.0, 0.0])
+    values, _, _ = harness.scan_landscape("shea", (2, 3), fixed_theta=fixed, resolution=801,
+                                          clip=(-5.0, 8.0))
+    assert len(np.unique(values.view(np.uint64), axis=0)) < len(values)  # rows repeat
+    assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "pole.csv", values) < 1.0
 
 
 def test_landscape_scan_memory_is_bounded_by_its_output(tmp_path):

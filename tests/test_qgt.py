@@ -55,6 +55,22 @@ def test_mask_idempotent_and_exact_zeros():
             assert np.array_equal(np.where(mask, g, 0.0), g)
 
 
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_fs_metric_from_state_matches_inline_reference_bit_for_bit(kind):
+    # the metric as fs_metric_from_state computed it before it shared the QGT helper
+    # that the validate qgt-structure suite also calls
+    thetas = np.random.default_rng(RNG_SEED + 11).uniform(0, 2 * np.pi,
+                                                          (50, ansatz.param_count(kind)))
+    psi, jac = ansatz.state_and_jacobian(kind, thetas)
+    jac_h = jac.conj().swapaxes(-1, -2)
+    v = (jac_h @ psi[..., None])[..., 0]
+    g = (jac_h @ jac - v[..., :, None] * v.conj()[..., None, :]).real
+    for mode in qgt.METRIC_MODES:
+        mask = qgt.block_mask(kind, mode)
+        expected = np.where(mask, 0.5 * (g + g.swapaxes(-1, -2)), 0.0)
+        assert qgt.fs_metric_from_state(psi, jac, mask).tobytes() == expected.tobytes()
+
+
 def test_mode_aliases():
     # each mode has one spelling; the aliases "diagonal" and "block_diagonal" were removed
     assert [qgt.canonical_mode(mode) for mode in qgt.METRIC_MODES] == ["dense", "block", "diag"]
