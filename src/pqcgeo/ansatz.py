@@ -53,6 +53,7 @@ QGAN_AUG = "qgan-aug"
 ANSATZE = (HEA, LDCA, QGAN, SHEA, QGAN_AUG)
 
 _N_PARAMS = {HEA: 4, LDCA: 5, QGAN: 5, SHEA: 6, QGAN_AUG: 9}
+THETA_MAX = np.finfo(float).max / 8  # no angle sum of a map overflows; the largest is 5 |theta|
 
 # Index partitions defining the block-diagonal metric approximation.
 # The appended local-rotation layers of qgan-aug block by circuit layer.
@@ -76,13 +77,13 @@ def param_count(kind: str) -> int:
 
 
 def _check_theta(kind: str, theta) -> np.ndarray:
-    """theta as a float array of shape (..., m), every value finite."""
+    """theta as a float array of shape (..., m), every value finite and at most THETA_MAX."""
     theta = np.asarray(theta, dtype=float)
     m = _N_PARAMS[kind]
     if theta.shape[-1:] != (m,):
         raise ValueError(f"{kind} takes {m} parameters, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("parameters must be finite")
+    if not np.all(np.abs(theta) <= THETA_MAX):
+        raise ValueError(f"parameters must be finite and at most {THETA_MAX:.2g} in size")
     return theta
 
 

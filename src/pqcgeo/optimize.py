@@ -102,13 +102,12 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
                config: OptConfig) -> list[Trace]:
     """Advance a (B, m) stack of starting points in lock step; one trace per row.
 
-    Each step evaluates the ansatz once for the rows still running and derives
-    energy, gradient, concurrence and the QNG metric from that (psi, J). A row
-    stops after the step where |E_t - E_{t-1}| < tol, or at max_steps.
+    A step evaluates the ansatz once for the rows still running and keeps what the next
+    step reads. A row stops after the step where |E_t - E_{t-1}| < tol, or at max_steps.
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
-    blocks = []  # one per step, of its running rows: memory follows the steps run
+    steps = []  # one per step, of its running rows: memory follows the steps run
     active = np.arange(len(theta))
     e_prev = np.full(len(theta), np.nan)  # no energy change is below tol at step 0
     fallback = np.zeros(len(theta), dtype=bool)
@@ -118,10 +117,7 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
         e = energy(hamiltonian, psi)
         if not np.all(np.isfinite(e)):
             raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)][0]!r} at step {step}")
-        c = concurrence(psi)
-        blocks.append((active, theta, np.stack([e, e - ground.energy, c,
-                                                 ricci_closed(np.minimum(c, RICCI_CLAMP)),
-                                                 np.sqrt(np.vecdot(grad, grad))]), fallback))
+        steps.append((active, theta, psi, e, grad, fallback))
         running = ~(np.abs(e - e_prev) < config.tol)
         if step == config.max_steps or not running.any():
             break
@@ -132,14 +128,15 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
                                      config)
         active, theta, e_prev, fallback = (active[running], new[running], e[running],
                                            fallback[running])
-    rows, thetas, values, fallbacks = zip(*blocks)
-    rows = np.concatenate(rows)
+    rows, theta, psi, e, grad, fallback = map(np.concatenate, zip(*steps))
+    c = concurrence(psi)  # the columns no update reads, derived once over all row-steps
+    columns = {"theta": theta, "energy": e, "energy_error": e - ground.energy,
+               "concurrence": c, "ricci": ricci_closed(np.minimum(c, RICCI_CLAMP)),
+               "grad_norm": np.sqrt(np.vecdot(grad, grad)), "qng_fallback": fallback}
     order = np.argsort(rows, kind="stable")  # each row's steps together, in step order
     cuts = np.cumsum(np.bincount(rows))[:-1]  # every row has a step 0
-    return [Trace(th, *vals, fb) for th, vals, fb in zip(
-        np.split(np.concatenate(thetas)[order], cuts),
-        np.split(np.concatenate(values, axis=1)[:, order], cuts, axis=1),
-        np.split(np.concatenate(fallbacks)[order], cuts))]
+    return [Trace(**dict(zip(columns, trial))) for trial in
+            zip(*(np.split(column[order], cuts) for column in columns.values()))]
 
 
 def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0,

@@ -77,7 +77,7 @@ def qgt_full(kind: str, theta) -> np.ndarray:
     return qgt_from_state(psi, jac)
 
 
-def block_mask(kind: str, mode: str = BLOCK) -> np.ndarray:
+def block_mask(kind: str, mode: str) -> np.ndarray:
     """Boolean mask of entries kept by the approximation mode."""
     mode = canonical_mode(mode)
     m = ansatz.param_count(kind)

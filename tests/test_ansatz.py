@@ -507,6 +507,23 @@ def test_batched_parameters_validated_and_curvature_single_vector():
         ansatz.ricci_closed_circuit(HEA, np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_angles_up_to_the_bound_give_finite_states_and_beyond_it_are_refused(kind):
+    # runs under error::RuntimeWarning: 1e308 angles overflowed the phase sums
+    m = ansatz.param_count(kind)
+    for signs in ([1.0], [-1.0], [1.0, -1.0], [1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0, 1.0, 1.0]):
+        theta = ansatz.THETA_MAX * np.resize(signs, m)
+        psi, jac = ansatz.state_and_jacobian(kind, theta)
+        assert np.all(np.isfinite(psi)) and np.all(np.isfinite(jac))
+        ansatz.ricci_circuit_grid(kind, theta)
+    for big in (np.nextafter(ansatz.THETA_MAX, np.inf), 1e308, -1e308):
+        theta = np.zeros(m)
+        theta[-1] = big
+        for fn in (ansatz.prepare_state, ansatz.state_and_jacobian, ansatz.ricci_circuit_grid):
+            with pytest.raises(ValueError, match="finite and at most"):
+                fn(kind, theta)
+
+
 def _qgan_aug_kron_reference(t):
     """qgan-aug as R_Z(t8) R_Z(t9) (R_X(t6) (x) R_X(t7)) on the qgan state, built with np.kron."""
     def rx(th):

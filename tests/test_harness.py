@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -653,6 +654,25 @@ def test_cli_argument_refusals_are_one_error_line(tmp_path, capsys, monkeypatch,
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["hopf", "--ansatz", "qgan", "--theta", "0,0,1e308,1e308,1e308"],
+    ["run-vqe", "--ansatz", "qgan", "--hamiltonian", "entangled", "--lr", "1e308",
+     "--trials", "2", "--steps", "50", "--out", "run"],
+])
+def test_cli_refuses_angles_beyond_the_bound_without_warnings(tmp_path, capsys, monkeypatch,
+                                                              argv):
+    # these angles overflowed the maps' phase sums, with six RuntimeWarnings before the
+    # error; --lr 1e308 moves the run-vqe angles by about 1e307 a step
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parameters must be finite and at most 2.2e+307 in size\n"
     assert not any(tmp_path.iterdir())
 
 

@@ -354,6 +354,39 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
     assert calls["other_maps"] == 0 and calls["matrix"] == 0
 
 
+def test_derived_columns_are_computed_once_per_run_whatever_the_steps(monkeypatch):
+    # no update reads concurrence or R(C), so the engine derives them after its loop
+    h = vqe.load_bundled("entangled")
+    calls = {"concurrence": 0, "ricci_closed": 0}
+    for name in calls:
+        def wrapper(*args, _name=name, _fn=getattr(optimize, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(optimize, name, wrapper)
+    for optimizer in ("gd", "qng"):
+        for steps in (1, 30):
+            cfg = _cfg(optimizer=optimizer, max_steps=steps, tol=1e-12)
+            theta0 = optimize.initial_parameters("shea", cfg, 0)
+            for run in (lambda: [run_optimization("shea", h, theta0, cfg)],
+                        lambda: optimize.run_trials("shea", h, cfg, 5)):
+                calls.update(concurrence=0, ricci_closed=0)
+                assert max(map(len, run())) == steps + 1
+                assert calls == {"concurrence": 1, "ricci_closed": 1}
+
+
+def test_a_batch_above_numpy_elision_size_matches_one_trial_runs_bit_for_bit():
+    # numpy may evaluate an expression in place from 256 KiB (16,384 complex values) on,
+    # and the engine derives its columns over all of a batch's row-steps at once
+    h = vqe.load_bundled("entangled")
+    cfg = _cfg(optimizer="gd", max_steps=200, tol=1e-12, seed=4)
+    traces = optimize.run_trials("shea", h, cfg, 90)
+    assert sum(map(len, traces)) > 16_384
+    for k, trace in enumerate(traces):
+        single = run_optimization("shea", h, optimize.initial_parameters("shea", cfg, k), cfg)
+        for f in dataclasses.fields(optimize.Trace):
+            assert np.array_equal(getattr(trace, f.name), getattr(single, f.name)), (k, f.name)
+
+
 def test_trace_memory_follows_the_steps_run_not_max_steps():
     # a (B, max_steps + 1) buffer of even one bool column would take 10 MB here
     h = vqe.load_bundled("entangled")
