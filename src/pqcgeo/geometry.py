@@ -17,12 +17,12 @@ quaternionic Fubini-Study metric on the base gives the scalar curvature
 
 which the numeric Christoffel/curvature engine below reproduces and which
 :mod:`pqcgeo.ansatz` evaluates at each family's closed-form concurrence to
-give the per-circuit curvature.
+give the per-circuit curvature. The engine calls the metric per stencil point
+in loop order, then inverts and contracts the stencil as one stack.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -95,7 +95,7 @@ def base_coordinates(state) -> np.ndarray:
 
 def _safe_arccos(v: float) -> float:
     if abs(v) > 1.0 + 1e-6:
-        raise InconsistentStateError(f"arccos argument {v!r} out of range")
+        raise InconsistentStateError(f"arccos argument {float(v)!r} out of range")
     return float(np.arccos(np.clip(v, -1.0, 1.0)))
 
 
@@ -201,7 +201,7 @@ def hopf_fiber(state, convention: str = FRAME_ORTHONORMAL) -> FiberQuaternion:
     # hypot and libm pow give the bits of Python's abs(z) ** 2, per state
     r2 = np.float_power(np.hypot(z.real, z.imag), 2) + np.float_power(np.hypot(w.real, w.imag), 2)
     if np.any(r2 > 1.0 + 1e-9):
-        raise InconsistentStateError(f"|z|^2 + |w|^2 = {r2.max()!r} exceeds 1")
+        raise InconsistentStateError(f"|z|^2 + |w|^2 = {float(r2.max())!r} exceeds 1")
     disc = np.sqrt(np.maximum(0.0, 1.0 - r2))
     gamma_p = np.sqrt(1.0 + disc)
     gamma_m = np.sqrt(np.maximum(0.0, 1.0 - disc))
@@ -235,14 +235,16 @@ def mfs_metric(c: float, chi: float, phi: float, theta: float,
     if convention not in CHART_CONVENTIONS:
         raise ValueError(f"unknown chart convention {convention!r}")
     if not 0.0 <= c < 1.0:
-        raise SingularityError(f"chart requires 0 <= C < 1, got {c!r}")
+        raise SingularityError(f"chart requires 0 <= C < 1, got {float(c)!r}")
     h = 1.0 - c * c
     s2 = np.sin(theta) ** 2
     if convention == SIN_ON_DTHETA:
         gpp, gtt = h, h * s2
     else:
         gpp, gtt = h * s2, h
-    return np.diag([1.0 / h, c * c, gpp, gtt])
+    g = np.zeros((4, 4))
+    g.flat[::5] = 1.0 / h, c * c, gpp, gtt
+    return g
 
 
 def ricci_closed(c) -> np.ndarray | float:
@@ -263,22 +265,36 @@ FD_STEP = 1e-4  # central-difference step of the numeric tensor calculus
 
 
 def _metric_inverse(g: np.ndarray) -> np.ndarray:
-    smin = np.linalg.svd(g, compute_uv=False)[-1]
-    if smin <= 1e-10:
-        raise ConditioningError(f"metric nearly singular: smallest singular value {smin!r}")
+    """Inverse of one metric or of a stack; the error names the first nearly singular one."""
+    smin = np.linalg.svd(g, compute_uv=False)[..., -1].ravel()
+    bad = smin[smin <= 1e-10].tolist()
+    if bad:
+        raise ConditioningError(f"metric nearly singular: smallest singular value {bad[0]!r}")
     return np.linalg.inv(g)
 
 
-def _central_difference(fn: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                        step: float) -> np.ndarray:
-    """Row k: (fn(point + step e_k) - fn(point - step e_k)) / (2 step)."""
+def _neighbours(point: np.ndarray, step: float) -> list[np.ndarray]:
+    """point + step e_0, point - step e_0, point + step e_1, ..."""
     out = []
     for k in range(point.size):
         xp, xm = point.copy(), point.copy()
         xp[k] += step
         xm[k] -= step
-        out.append((np.asarray(fn(xp), float) - np.asarray(fn(xm), float)) / (2.0 * step))
-    return np.stack(out)
+        out += [xp, xm]
+    return out
+
+
+def _christoffel_stencil(metric: MetricFn, centres: list[np.ndarray]) -> np.ndarray:
+    """Christoffel symbols at each centre, (len(centres), n, n, n). The metric is called at a
+    centre and its _neighbours(centre, FD_STEP), centre by centre, then inverted as one stack."""
+    g = np.array([[np.asarray(metric(x), float) for x in (p, *_neighbours(p, FD_STEP))]
+                  for p in centres])
+    ginv = _metric_inverse(g[:, 0])
+    dg = (g[:, 1::2] - g[:, 2::2]) / (2.0 * FD_STEP)  # [centre, k]: d/dx_k of g
+    gam = 0.5 * (np.einsum("...cd,...bda->...cab", ginv, dg)
+                 + np.einsum("...cd,...adb->...cab", ginv, dg)
+                 - np.einsum("...cd,...dab->...cab", ginv, dg))
+    return 0.5 * (gam + np.swapaxes(gam, -2, -1))
 
 
 def christoffel(metric: MetricFn, point) -> np.ndarray:
@@ -287,13 +303,7 @@ def christoffel(metric: MetricFn, point) -> np.ndarray:
     Partial derivatives of the metric are central differences of step
     FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
-    point = np.asarray(point, dtype=float)
-    ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
-    dg = _central_difference(metric, point, FD_STEP)
-    gam = 0.5 * (np.einsum("cd,bda->cab", ginv, dg)
-                 + np.einsum("cd,adb->cab", ginv, dg)
-                 - np.einsum("cd,dab->cab", ginv, dg))
-    return 0.5 * (gam + np.swapaxes(gam, 1, 2))
+    return _christoffel_stencil(metric, [np.asarray(point, dtype=float)])[0]
 
 
 def scalar_curvature_numeric(metric: MetricFn, point) -> float:
@@ -303,18 +313,19 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
                 + Gamma^d_ab Gamma^c_cd - Gamma^d_ac Gamma^c_bd)
 
     The outer derivative uses steps (FD_STEP, FD_STEP/2) combined by
-    Richardson extrapolation.
+    Richardson extrapolation. The metric is called at the point, then per stencil point in loop
+    order over the 1 + 4n Christoffel centres, which are inverted and contracted as one stack.
     """
     point = np.asarray(point, dtype=float)
     ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
-    gam = christoffel(metric, point)
-    gamma_field = partial(christoffel, metric)
-    dgam = (4.0 * _central_difference(gamma_field, point, FD_STEP / 2.0)
-            - _central_difference(gamma_field, point, FD_STEP)) / 3.0
+    centres = [point, *_neighbours(point, FD_STEP / 2.0), *_neighbours(point, FD_STEP)]
+    gam, n = _christoffel_stencil(metric, centres), point.size
+    diff = gam[1::2] - gam[2::2]  # d/dx_k for each k at step FD_STEP/2, then at FD_STEP
+    dgam = (4.0 * (diff[:n] / (2.0 * (FD_STEP / 2.0))) - diff[n:] / (2.0 * FD_STEP)) / 3.0
     r = (np.einsum("ab,ccab->", ginv, dgam)
          - np.einsum("ab,bcac->", ginv, dgam)
-         + np.einsum("ab,dab,ccd->", ginv, gam, gam)
-         - np.einsum("ab,dac,cbd->", ginv, gam, gam))
+         + np.einsum("ab,dab,ccd->", ginv, gam[0], gam[0])
+         - np.einsum("ab,dac,cbd->", ginv, gam[0], gam[0]))
     return float(r)
 
 
@@ -329,8 +340,8 @@ def resolve_chart_convention(tol: float = 1e-3) -> tuple[str, dict]:
     devs = {}
     for conv in CHART_CONVENTIONS:
         worst = 0.0
+        metric = _mfs_field(conv)
         for c in np.arange(0.1, 0.91, 0.1):
-            metric = _mfs_field(conv)
             r = scalar_curvature_numeric(metric, np.array([c, *angles]))
             worst = max(worst, abs(r - ricci_closed(c)))
         devs[conv] = worst

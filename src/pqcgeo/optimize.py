@@ -74,11 +74,12 @@ class Trace:
 
 
 def step_gd(theta: np.ndarray, grad: np.ndarray, config: OptConfig) -> np.ndarray:
-    """theta - eta * grad on (..., m) parameters."""
+    """theta - eta * grad on (..., m) parameters; an entry that overflows is +-inf, unwarned."""
     theta, grad = np.asarray(theta, float), np.asarray(grad, float)
     if grad.shape != theta.shape:
         raise ValueError("gradient shape does not match parameter shape")
-    return theta - config.learning_rate * grad
+    with np.errstate(over="ignore"):  # _run_batch refuses it, naming the learning rate
+        return theta - config.learning_rate * grad
 
 
 def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
@@ -86,8 +87,8 @@ def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
     """theta - eta * g^+ grad on (..., m) parameters with the configured
     regularized inverse of the (..., m, m) metric.
 
-    Returns the new parameters and a (...) boolean fallback mask: rows whose
-    metric has no usable spectrum (a zero inverse) take a plain gradient step.
+    Returns the new parameters (+-inf where a step overflows, as in step_gd) and a (...)
+    boolean fallback mask: rows whose metric has no usable spectrum take a plain gradient step.
     """
     theta, grad = np.asarray(theta, float), np.asarray(grad, float)
     if grad.shape != theta.shape or np.shape(metric) != theta.shape + theta.shape[-1:]:
@@ -95,7 +96,8 @@ def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
     ginv = qgt.invert_metric(metric, config.inversion)
     fallback = ~ginv.any(axis=(-2, -1))
     direction = np.where(fallback[..., None], grad, (ginv @ grad[..., None])[..., 0])
-    return theta - config.learning_rate * direction, fallback
+    with np.errstate(over="ignore"):
+        return theta - config.learning_rate * direction, fallback
 
 
 def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
@@ -116,16 +118,17 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
         grad = gradient_from_state(hamiltonian, psi, jac)
         e = energy(hamiltonian, psi)
         if not np.all(np.isfinite(e)):
-            raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)][0]!r} at step {step}")
+            raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)].item(0)} at step {step}")
         steps.append((active, theta, psi, e, grad, fallback))
         running = ~(np.abs(e - e_prev) < config.tol)
         if step == config.max_steps or not running.any():
             break
-        if config.optimizer == GD:
-            new = step_gd(theta, grad, config)
-        else:
-            new, fallback = step_qng(theta, grad, qgt.fs_metric_from_state(psi, jac, mask),
-                                     config)
+        new, fallback = ((step_gd(theta, grad, config), fallback) if config.optimizer == GD
+                         else step_qng(theta, grad, qgt.fs_metric_from_state(psi, jac, mask),
+                                       config))
+        if not np.abs(new).max() <= ansatz.THETA_MAX:  # also refuses NaN
+            raise ValueError(f"learning rate {config.learning_rate!r} takes the parameters beyond "
+                             f"{ansatz.THETA_MAX:.2g} in size at step {step + 1}")
         active, theta, e_prev, fallback = (active[running], new[running], e[running],
                                            fallback[running])
     rows, theta, psi, e, grad, fallback = map(np.concatenate, zip(*steps))

@@ -47,7 +47,8 @@ def require_normalized(state: np.ndarray) -> np.ndarray:
         raise ValueError("state amplitudes must be finite")
     deviation = np.abs(np.sqrt(np.vecdot(state, state).real) - 1.0)
     if (deviation > NORM_ATOL).any():
-        raise ValueError(f"state is not normalized: ||psi|| is {deviation.max()!r} away from 1")
+        raise ValueError(f"state is not normalized: ||psi|| is {float(deviation.max())!r} "
+                         "away from 1")
     return state
 
 
@@ -166,7 +167,7 @@ def expectation(state: np.ndarray, obs: PauliObservable | np.ndarray) -> np.ndar
     val = np.vecdot(state, (m @ state[..., None])[..., 0])
     residue = np.abs(val.imag).max()
     if residue > 1e-12 and residue > 1e-12 * np.linalg.norm(m):
-        raise ValueError(f"expectation has non-negligible imaginary part {residue!r}")
+        raise ValueError(f"expectation has non-negligible imaginary part {float(residue)!r}")
     return float(val.real) if val.ndim == 0 else val.real
 
 

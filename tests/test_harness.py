@@ -10,7 +10,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from pqcgeo import ansatz, cli, geometry, harness, optimize, qgt, vqe
+from pqcgeo import ansatz, cli, geometry, harness, optimize, qgt, simulator, vqe
 from pqcgeo.cli import main
 
 def _experiment(out_dir, trials=2, opt=None):
@@ -665,15 +665,68 @@ def test_cli_argument_refusals_are_one_error_line(tmp_path, capsys, monkeypatch,
 def test_cli_refuses_angles_beyond_the_bound_without_warnings(tmp_path, capsys, monkeypatch,
                                                               argv):
     # these angles overflowed the maps' phase sums, with six RuntimeWarnings before the
-    # error; --lr 1e308 moves the run-vqe angles by about 1e307 a step
+    # error; --lr 1e308 moves the run-vqe angles by about 1e307 a step, and the update
+    # to step 2 takes them past the bound, so the refusal names the learning rate
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: parameters must be finite and at most 2.2e+307 in size\n"
+    assert err == ("error: parameters must be finite and at most 2.2e+307 in size\n"
+                   if argv[0] == "hopf" else "error: learning rate 1e+308 takes the "
+                   "parameters beyond 2.2e+307 in size at step 2\n")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "qng"])
+def test_cli_refuses_a_learning_rate_whose_update_overflows(tmp_path, capsys, monkeypatch,
+                                                            optimizer):
+    # lr * grad overflowed in step_gd and step_qng with a RuntimeWarning, and the angle
+    # check then named the parameters instead of the learning rate
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text('{"nu": [0, 0, 0, 0, 30, 30]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run-vqe", "--ansatz", "qgan", "--hamiltonian", "big.json", "--lr", "1e308",
+                     "--trials", "2", "--steps", "5", "--optimizer", optimizer,
+                     "--out", "run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: learning rate 1e+308 takes the parameters beyond 2.2e+307 in size "
+                   "at step 1\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+def _non_finite_energy(monkeypatch):
+    original = optimize.energy
+    monkeypatch.setattr(optimize, "energy", lambda h, psi: np.full_like(original(h, psi), np.nan))
+    optimize.run_trials("hea", vqe.load_bundled("entangled"), optimize.OptConfig(), 2)
+
+
+def _fiber_off_the_sphere(monkeypatch):
+    monkeypatch.setattr(geometry, "base_coordinates", lambda state: np.array([0.0, 4, 0, 0, 0]))
+    geometry.hopf_fiber(np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_fiber_off_the_sphere, "|z|^2 + |w|^2 = 4.0 exceeds 1"),
+    (lambda mp: geometry._safe_arccos(np.float64(1.5)), "arccos argument 1.5 out of range"),
+    (lambda mp: geometry._mfs_field(geometry.SIN_ON_DTHETA)(np.array([1.0, 0.7, 1.1, 1.3])),
+     "chart requires 0 <= C < 1, got 1.0"),
+    (lambda mp: geometry.christoffel(lambda x: np.diag([1.0, 0.0]), np.array([0.1, 0.2])),
+     "metric nearly singular: smallest singular value 0.0"),
+    (_non_finite_energy, "non-finite energy nan at step 0"),
+    (lambda mp: simulator.require_normalized(np.array([2.0, 0, 0, 0])),
+     "state is not normalized: ||psi|| is 1.0 away from 1"),
+    (lambda mp: simulator.expectation(np.array([1.0, 0, 0, 0]), 1j * np.eye(4)),
+     "expectation has non-negligible imaginary part 1.0"),
+], ids=["fiber", "arccos", "mfs-chart", "conditioning", "energy", "normalization", "residue"])
+def test_error_messages_print_computed_numbers_as_plain_floats(monkeypatch, fail, message):
+    # each of these printed its number as np.float64(...)
+    with pytest.raises((ValueError, RuntimeError)) as exc:
+        fail(monkeypatch)
+    assert str(exc.value) == message and "np.float64" not in str(exc.value)
 
 
 def test_cli_reads_negative_numbers_as_values(tmp_path, capsys):
