@@ -17,8 +17,9 @@ quaternionic Fubini-Study metric on the base gives the scalar curvature
 
 which the numeric Christoffel/curvature engine below reproduces and which
 :mod:`pqcgeo.ansatz` evaluates at each family's closed-form concurrence to
-give the per-circuit curvature. The engine calls the metric per stencil point
-in loop order, then inverts and contracts the stencil as one stack.
+give the per-circuit curvature. The engine calls the metric once per stencil
+point, in loop order, then inverts and contracts the stencil as one stack; the
+point's own inverse metric is the stack's first.
 """
 from __future__ import annotations
 
@@ -284,9 +285,11 @@ def _neighbours(point: np.ndarray, step: float) -> list[np.ndarray]:
     return out
 
 
-def _christoffel_stencil(metric: MetricFn, centres: list[np.ndarray]) -> np.ndarray:
-    """Christoffel symbols at each centre, (len(centres), n, n, n). The metric is called at a
-    centre and its _neighbours(centre, FD_STEP), centre by centre, then inverted as one stack."""
+def _christoffel_stencil(metric: MetricFn,
+                         centres: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols at each centre, (len(centres), n, n, n), and the inverse metric
+    there, (len(centres), n, n). The metric is called at a centre and its
+    _neighbours(centre, FD_STEP), centre by centre, then inverted as one stack."""
     g = np.array([[np.asarray(metric(x), float) for x in (p, *_neighbours(p, FD_STEP))]
                   for p in centres])
     ginv = _metric_inverse(g[:, 0])
@@ -294,7 +297,7 @@ def _christoffel_stencil(metric: MetricFn, centres: list[np.ndarray]) -> np.ndar
     gam = 0.5 * (np.einsum("...cd,...bda->...cab", ginv, dg)
                  + np.einsum("...cd,...adb->...cab", ginv, dg)
                  - np.einsum("...cd,...dab->...cab", ginv, dg))
-    return 0.5 * (gam + np.swapaxes(gam, -2, -1))
+    return 0.5 * (gam + np.swapaxes(gam, -2, -1)), ginv
 
 
 def christoffel(metric: MetricFn, point) -> np.ndarray:
@@ -303,7 +306,7 @@ def christoffel(metric: MetricFn, point) -> np.ndarray:
     Partial derivatives of the metric are central differences of step
     FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
-    return _christoffel_stencil(metric, [np.asarray(point, dtype=float)])[0]
+    return _christoffel_stencil(metric, [np.asarray(point, dtype=float)])[0][0]
 
 
 def scalar_curvature_numeric(metric: MetricFn, point) -> float:
@@ -313,13 +316,14 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
                 + Gamma^d_ab Gamma^c_cd - Gamma^d_ac Gamma^c_bd)
 
     The outer derivative uses steps (FD_STEP, FD_STEP/2) combined by
-    Richardson extrapolation. The metric is called at the point, then per stencil point in loop
-    order over the 1 + 4n Christoffel centres, which are inverted and contracted as one stack.
+    Richardson extrapolation. The metric is called per stencil point in loop order over the
+    1 + 4n Christoffel centres, the point first, which are inverted and contracted as one
+    stack; the point's g^{ab} is that stack's first inverse.
     """
     point = np.asarray(point, dtype=float)
-    ginv = _metric_inverse(np.asarray(metric(point), dtype=float))
     centres = [point, *_neighbours(point, FD_STEP / 2.0), *_neighbours(point, FD_STEP)]
-    gam, n = _christoffel_stencil(metric, centres), point.size
+    gam, ginv = _christoffel_stencil(metric, centres)
+    ginv, n = ginv[0], point.size
     diff = gam[1::2] - gam[2::2]  # d/dx_k for each k at step FD_STEP/2, then at FD_STEP
     dgam = (4.0 * (diff[:n] / (2.0 * (FD_STEP / 2.0))) - diff[n:] / (2.0 * FD_STEP)) / 3.0
     r = (np.einsum("ab,ccab->", ginv, dgam)

@@ -57,12 +57,9 @@ class Hamiltonian:
             raise ValueError(f"Hamiltonian coefficients too large: above {NU_MAX:.3g} a run "
                              "overflows its energies, gradients or summary statistics")
         object.__setattr__(self, "nu", nu)
-        matrix = self.observable().matrix()
+        matrix = PauliObservable(tuple(zip(nu, HAMILTONIAN_TERMS))).matrix()
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
-
-    def observable(self) -> PauliObservable:
-        return PauliObservable(tuple(zip(self.nu, HAMILTONIAN_TERMS)))
 
     def matrix(self) -> np.ndarray:
         """The 4 x 4 matrix, built once at construction; read-only."""

@@ -372,7 +372,8 @@ def test_stacked_stencil_matches_the_loops_on_non_diagonal_metrics(field):
         log.clear(), ref_log.clear()
         assert geo.scalar_curvature_numeric(logged, point) == \
             _reference_scalar_curvature(ref_logged, point)
-        assert len(log) == 1 + (1 + 4 * n) * (1 + 2 * n) and log == ref_log
+        # one metric call fewer: the point's inverse metric is its stencil's first
+        assert len(log) == (1 + 4 * n) * (1 + 2 * n) and log == ref_log[1:]
 
 
 @pytest.mark.parametrize("engine, theta", [("scalar_curvature_numeric", geo.FD_STEP),

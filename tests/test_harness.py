@@ -53,6 +53,25 @@ def test_summary_schema_and_padding(tmp_path):
     assert data["hamiltonian"]["ground_energy"] == pytest.approx(summary["hamiltonian"]["ground_energy"])
 
 
+def _trace_with_errors(energy_error):
+    n = len(energy_error)
+    zero = np.zeros(n)
+    return optimize.Trace(theta=np.zeros((n, 4)), energy=zero,
+                          energy_error=np.array(energy_error, dtype=float), concurrence=zero,
+                          ricci=zero, grad_norm=zero, qng_fallback=np.zeros(n, dtype=bool))
+
+
+@pytest.mark.parametrize("errors, median", [([[1.0, 1e-4], [1.0, 1.0]], None),
+                                            ([[1.0, 1e-4], [1e-4, 1.0], [1.0, 1.0]], 1.0)],
+                         ids=["one-of-two", "two-of-three"])
+def test_median_steps_to_threshold_is_null_unless_more_than_half_the_trials_reach_it(errors,
+                                                                                    median):
+    # with exactly half reached, the median of the steps with inf for a miss is inf
+    traces = [_trace_with_errors(e) for e in errors]
+    summary = harness.summarize(traces, optimize.OptConfig(max_steps=1))
+    assert summary["median_steps_to_threshold"] == median
+
+
 def test_summary_mean_energy_error_ldca_qng_full_protocol():
     # 50-trial natural-gradient run: padded mean energy error at step 200
     # sits below chemical accuracy
@@ -1033,28 +1052,29 @@ def test_trace_outputs_match_the_record_based_reference(tmp_path, kind):
 # --- the gradient-check suite: batched by family, checked against its per-sample loop ---
 
 def _per_sample_gradient_deviations(rng):
-    """The gradient-check suite per sample: one Hamiltonian, one state_and_jacobian call and
-    one prepare_state call of the five-point stencil's shifts per sample. Returns its worst
-    gradient and Jacobian deviations and the (family, parameters) of each sample."""
+    """The gradient-check suite per sample: per family, 200 parameter rows and then one
+    Hamiltonian are drawn, and each row makes its own state_and_jacobian call and prepare_state
+    call of the five-point stencil's shifts. Returns its worst gradient and Jacobian deviations
+    and the (family, parameters) of each sample."""
     worst_g = worst_j = 0.0
     h = 1e-3
     samples = []
-    for _ in range(1000):
-        kind = ansatz.ANSATZE[rng.integers(len(ansatz.ANSATZE))]
+    for kind in ansatz.ANSATZE:
         m = ansatz.param_count(kind)
-        theta = rng.uniform(0, 2 * np.pi, m)
-        samples.append((kind, theta))
+        thetas = rng.uniform(0, 2 * np.pi, (200, m))
         ham = vqe.Hamiltonian(nu=tuple(rng.normal(size=6)))
-        psi, jac = ansatz.state_and_jacobian(kind, theta)
-        grad = vqe.gradient_from_state(ham, psi, jac)
-        shift = h * np.eye(m)
-        p2, p1, m1, m2 = ansatz.prepare_state(kind, np.stack([theta + 2 * shift, theta + shift,
-                                                              theta - shift, theta - 2 * shift]))
-        fd_jac = (8 * (p1 - m1) - (p2 - m2)) / (12 * h)
-        worst_j = max(worst_j, float(np.abs(fd_jac - jac.T).max()))
-        e2, e1, e_1, e_2 = (vqe.energy(ham, p) for p in (p2, p1, m1, m2))
-        fd = (8 * (e1 - e_1) - (e2 - e_2)) / (12 * h)
-        worst_g = max(worst_g, float(np.abs(grad - fd).max()))
+        for theta in thetas:
+            samples.append((kind, theta))
+            psi, jac = ansatz.state_and_jacobian(kind, theta)
+            grad = vqe.gradient_from_state(ham, psi, jac)
+            shift = h * np.eye(m)
+            p2, p1, m1, m2 = ansatz.prepare_state(kind, np.stack(
+                [theta + 2 * shift, theta + shift, theta - shift, theta - 2 * shift]))
+            fd_jac = (8 * (p1 - m1) - (p2 - m2)) / (12 * h)
+            worst_j = max(worst_j, float(np.abs(fd_jac - jac.T).max()))
+            e2, e1, e_1, e_2 = (vqe.energy(ham, p) for p in (p2, p1, m1, m2))
+            fd = (8 * (e1 - e_1) - (e2 - e_2)) / (12 * h)
+            worst_g = max(worst_g, float(np.abs(grad - fd).max()))
     return worst_g, worst_j, samples
 
 
@@ -1085,37 +1105,21 @@ def _batched_gradient_deviations(monkeypatch, rng):
     return result, kept[-1], kept[-2], calls
 
 
-class _FirstTwoFamilies:
-    """A generator that draws only hea and ldca samples, so that three families go undrawn."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def integers(self, n):
-        return self._rng.integers(2)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
-@pytest.mark.parametrize("make_rng,seed", [(np.random.default_rng, 7), (np.random.default_rng, 8),
-                                           (_FirstTwoFamilies, 7)],
-                         ids=["suite-seed", "seed-8", "two-families"])
-def test_batched_gradient_suite_matches_the_per_sample_loop(monkeypatch, make_rng, seed):
-    (ok, detail), worst_g, worst_j, calls = _batched_gradient_deviations(monkeypatch,
-                                                                         make_rng(seed))
-    ref_g, ref_j, samples = _per_sample_gradient_deviations(make_rng(seed))
+@pytest.mark.parametrize("seed", [7, 8], ids=["suite-seed", "seed-8"])
+def test_batched_gradient_suite_matches_the_per_sample_loop(monkeypatch, seed):
+    (ok, detail), worst_g, worst_j, calls = _batched_gradient_deviations(
+        monkeypatch, np.random.default_rng(seed))
+    ref_g, ref_j, samples = _per_sample_gradient_deviations(np.random.default_rng(seed))
     assert ok, detail
-    # one call per drawn family, on that family's samples in the order they were drawn
-    expected = [(kind, np.array([t for k, t in samples if k == kind]))
-                for kind in ansatz.ANSATZE if any(k == kind for k, _ in samples)]
-    assert [kind for kind, _ in calls] == [kind for kind, _ in expected]
+    # one call per family, on that family's samples in the order they were drawn
+    expected = [(kind, np.array([t for k, t in samples if k == kind])) for kind in ansatz.ANSATZE]
+    assert [kind for kind, _ in calls] == list(ansatz.ANSATZE)
     assert all(t.tobytes() == ref.tobytes() for (_, t), (_, ref) in zip(calls, expected))
     # the same states and Jacobians, batched: the Jacobian deviation keeps its bits
     assert worst_j == ref_j
-    # The energies are sums over unit terms, rounded in another order. An energy of size
-    # up to sum|nu| (about 10 here) is known to a few ulps, about 5e-15, and the stencil's
-    # weights sum to 18 / (12 h) = 1.5e3; two such roundings per difference give 1.5e-11.
+    # Equal on seeds 7-10, but the energies of a stack may round otherwise than one state's. An energy of size up to
+    # sum|nu| (about 10 here) is known to a few ulps, about 5e-15, and the stencil's weights
+    # sum to 18 / (12 h) = 1.5e3; two such roundings per difference give 1.5e-11.
     assert abs(worst_g - ref_g) <= 1.5e-11
     assert detail == _gradient_detail(worst_g, worst_j)
 
@@ -1197,3 +1201,109 @@ def test_gradient_suite_reads_a_gradient_error_of_1e_9(monkeypatch):
 def test_gradient_suite_memory_is_bounded():
     # the largest share is qgan-aug's (4, k, 9, 4) shifted states and their temporaries
     assert _traced_peak_mb(_gradient_suite, np.random.default_rng(7)) <= 4.0
+
+
+# --- each validate input evaluated once ---
+
+def _call_log(monkeypatch, *targets):
+    """Log (function name, first argument if it is a family name) for each call of the
+    (module, name) targets."""
+    log = []
+    for module, name in targets:
+        def logged(*args, _original=getattr(module, name), _name=name):
+            log.append((_name, args[0] if isinstance(args[0], str) else None))
+            return _original(*args)
+        monkeypatch.setattr(module, name, logged)
+    return log
+
+
+def test_gradient_suite_evaluates_each_family_once(monkeypatch):
+    log = _call_log(monkeypatch, (ansatz, "state_and_jacobian"), (ansatz, "prepare_state"),
+                    (vqe, "energy"), (vqe, "gradient_from_state"))
+    ok, detail = _gradient_suite(np.random.default_rng(7))
+    assert ok, detail
+    for name in ("state_and_jacobian", "prepare_state"):
+        assert [kind for called, kind in log if called == name] == list(ansatz.ANSATZE), name
+    for name in ("energy", "gradient_from_state"):
+        assert sum(called == name for called, _ in log) == len(ansatz.ANSATZE), name
+
+
+def test_qgt_suite_evaluates_each_family_once_and_calls_no_fs_metric(monkeypatch):
+    log = _call_log(monkeypatch, (ansatz, "state_and_jacobian"), (qgt, "fs_metric"))
+    ok, detail = dict(harness.VALIDATION_SUITES)["qgt-structure"](np.random.default_rng(7))
+    assert ok, detail
+    assert log == [("state_and_jacobian", kind) for kind in ansatz.ANSATZE]
+
+
+def _qgt_suite_with_metrics(monkeypatch, edit=None):
+    """The qgt-structure suite at seed 7 and the dense metric stack it builds per family;
+    edit(kind, metric), if given, changes each stack in place before the suite reads it."""
+    kinds, metrics = [], {}
+    state_and_jacobian, metric_from_qgt = ansatz.state_and_jacobian, qgt._metric_from_qgt
+
+    def recording(kind, theta):
+        kinds.append(kind)
+        return state_and_jacobian(kind, theta)
+
+    def editing(g, mask):
+        metrics[kinds[-1]] = metric = metric_from_qgt(g, mask)
+        if edit is not None:
+            edit(kinds[-1], metric)
+        return metric
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ansatz, "state_and_jacobian", recording)
+        patch.setattr(qgt, "_metric_from_qgt", editing)
+        ok, detail = dict(harness.VALIDATION_SUITES)["qgt-structure"](np.random.default_rng(7))
+    return ok, detail, metrics
+
+
+def _known_entry_figure(detail):
+    return float(re.search(r"constant entries dev (\S+);", detail).group(1))
+
+
+@pytest.mark.parametrize("kind, entry, shift, passes", [
+    (ansatz.HEA, (0, 0), 1e-6, False), (ansatz.LDCA, (2, 2), 1e-6, False),
+    (ansatz.HEA, (0, 1), np.nan, False), (ansatz.LDCA, (2, 4), np.nan, False),
+    (ansatz.HEA, (0, 2), 1e-6, True), (ansatz.LDCA, (4, 4), 1e-6, True)],
+    ids=["hea-00", "ldca-22", "hea-01-nan", "ldca-24-nan", "hea-02-free", "ldca-44-free"])
+def test_qgt_suite_checks_the_known_entries_of_the_metrics_it_builds(monkeypatch, kind, entry,
+                                                                     shift, passes):
+    # One entry of each of kind's metrics moves. eigvalsh reads only the lower triangle, so an
+    # upper entry reaches only the known-entry check: it must pass hea's free (0, 2) by, and
+    # read a NaN in a known one (in the lower triangle, eigvalsh itself can raise LinAlgError).
+    def edit(k, metric):
+        if k == kind:
+            metric[:, entry[0], entry[1]] += shift
+
+    ok, detail, _ = _qgt_suite_with_metrics(monkeypatch, edit)
+    figure = _known_entry_figure(detail)
+    if passes:
+        _, clean, _ = _qgt_suite_with_metrics(monkeypatch)
+        assert ok and figure == _known_entry_figure(clean), detail
+    elif np.isnan(shift):
+        assert not ok and np.isnan(figure), detail
+    else:
+        assert not ok and figure == pytest.approx(shift, rel=1e-6), detail
+
+
+def test_known_entry_deviation_matches_the_pass_through_construction(monkeypatch):
+    # the construction it replaced: an expected metric that takes each free entry from the
+    # metric itself, on the same 1,000-draw dense metrics
+    ok, detail, metrics = _qgt_suite_with_metrics(monkeypatch)
+    assert ok, detail
+    g = metrics[ansatz.HEA]
+    assert g.shape == (1000, 4, 4)
+    expected = np.broadcast_to(np.eye(4), g.shape).copy()
+    for (i, j) in ((0, 2), (1, 3), (2, 3)):
+        expected[:, i, j] = expected[:, j, i] = g[:, i, j]
+    hea = float(np.abs(g - expected).max())
+    g = metrics[ansatz.LDCA]
+    assert g.shape == (1000, 5, 5)
+    expected = np.zeros_like(g)
+    expected[:, 2, 2] = 1.0
+    expected[:, 4, 4] = g[:, 4, 4]
+    ldca = float(np.abs(g - expected).max())
+    assert harness._known_entry_dev(ansatz.HEA, metrics[ansatz.HEA]) == hea
+    assert harness._known_entry_dev(ansatz.LDCA, metrics[ansatz.LDCA]) == ldca
+    assert f"constant entries dev {max(hea, ldca):.1e};" in detail
