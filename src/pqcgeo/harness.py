@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict
 from pathlib import Path
 
@@ -119,6 +120,9 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if not (a < m and b < m) or a == b:
         raise ValueError(f"{message}, got {scan_indices!r}")
     resolution = optimize._integer(resolution, 2, "resolution must be an integer of at least 2")
+    if len(clip) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                 for v in clip):
+        raise ValueError(f"clip bounds must be two real numbers, got {clip!r}")
     lo, hi = float(clip[0]), float(clip[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"clip bounds must be finite with lo < hi, got {lo!r} and {hi!r}")
@@ -349,7 +353,7 @@ def _suite_gradients(rng: np.random.Generator) -> tuple[bool, str]:
         psi_s = ansatz.prepare_state(kind, theta[:, None] + shift)
         worst_j = max(worst_j, float(np.abs(_five_point(psi_s, h) - jac.mT).max()))
         fd = _five_point(vqe.energy(ham, psi_s), h)
-        worst_g = max(worst_g, float(np.abs(vqe.gradient_from_state(ham, psi, jac) - fd).max()))
+        worst_g = max(worst_g, float(np.abs(vqe.energy_and_gradient(ham, psi, jac)[1] - fd).max()))
     ok = worst_g <= 1e-6 and worst_j <= 1e-6
     return ok, (f"five-point h=1e-3: energy grad dev {worst_g:.2e}, "
                 f"jacobian dev {worst_j:.2e} (tol 1e-6)")
@@ -381,11 +385,16 @@ VALIDATION_SUITES = (
 
 def run_validation() -> tuple[bool, list[tuple[str, bool, str]]]:
     """Run every oracle suite, each on a generator seeded with 7; returns the
-    overall flag plus per-suite rows."""
+    overall flag plus per-suite rows. A suite that raises is a failed row."""
     rows = []
     all_ok = True
     for name, fn in VALIDATION_SUITES:
-        ok, detail = fn(np.random.default_rng(7))
+        try:
+            ok, detail = fn(np.random.default_rng(7))
+        except MemoryError:  # the host's limit, not a fault in what the suite checks
+            raise
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         rows.append((name, ok, detail))
         all_ok &= ok
     return all_ok, rows

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ansatz, qgt
 from .geometry import concurrence, ricci_closed
-from .vqe import Hamiltonian, energy, exact_ground, gradient_from_state
+from .vqe import Hamiltonian, energy_and_gradient, exact_ground
 
 GD = "gd"
 QNG = "qng"
@@ -73,39 +73,15 @@ class Trace:
         return len(self.energy)
 
 
-def step_gd(theta: np.ndarray, grad: np.ndarray, config: OptConfig) -> np.ndarray:
-    """theta - eta * grad on (..., m) parameters; an entry that overflows is +-inf, unwarned."""
-    theta, grad = np.asarray(theta, float), np.asarray(grad, float)
-    if grad.shape != theta.shape:
-        raise ValueError("gradient shape does not match parameter shape")
-    with np.errstate(over="ignore"):  # _run_batch refuses it, naming the learning rate
-        return theta - config.learning_rate * grad
-
-
-def step_qng(theta: np.ndarray, grad: np.ndarray, metric: np.ndarray,
-             config: OptConfig) -> tuple[np.ndarray, np.ndarray]:
-    """theta - eta * g^+ grad on (..., m) parameters with the configured
-    regularized inverse of the (..., m, m) metric.
-
-    Returns the new parameters (+-inf where a step overflows, as in step_gd) and a (...)
-    boolean fallback mask: rows whose metric has no usable spectrum take a plain gradient step.
-    """
-    theta, grad = np.asarray(theta, float), np.asarray(grad, float)
-    if grad.shape != theta.shape or np.shape(metric) != theta.shape + theta.shape[-1:]:
-        raise ValueError("dimension mismatch between theta, grad, and metric")
-    ginv = qgt.invert_metric(metric, config.inversion)
-    fallback = ~ginv.any(axis=(-2, -1))
-    direction = np.where(fallback[..., None], grad, (ginv @ grad[..., None])[..., 0])
-    with np.errstate(over="ignore"):
-        return theta - config.learning_rate * direction, fallback
-
-
 def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
                config: OptConfig) -> list[Trace]:
     """Advance a (B, m) stack of starting points in lock step; one trace per row.
 
-    A step evaluates the ansatz once for the rows still running and keeps what the next
-    step reads. A row stops after the step where |E_t - E_{t-1}| < tol, or at max_steps.
+    A step evaluates the ansatz once for the rows still running, takes E and its gradient
+    from one H psi, and keeps what the next step reads. A row stops after the step where
+    |E_t - E_{t-1}| < tol, or at max_steps; otherwise it moves to theta - eta * d. d is the
+    gradient, and under QNG g^+ times it, except on rows whose inverse metric g^+ is all
+    zero (no usable spectrum): those take the gradient and are marked in qng_fallback.
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
@@ -115,17 +91,20 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     fallback = np.zeros(len(theta), dtype=bool)
     for step in range(config.max_steps + 1):
         psi, jac = ansatz.state_and_jacobian(kind, theta)
-        grad = gradient_from_state(hamiltonian, psi, jac)
-        e = energy(hamiltonian, psi)
+        e, grad = energy_and_gradient(hamiltonian, psi, jac)
         if not np.all(np.isfinite(e)):
             raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)].item(0)} at step {step}")
         steps.append((active, theta, psi, e, grad, fallback))
         running = ~(np.abs(e - e_prev) < config.tol)
         if step == config.max_steps or not running.any():
             break
-        new, fallback = ((step_gd(theta, grad, config), fallback) if config.optimizer == GD
-                         else step_qng(theta, grad, qgt.fs_metric_from_state(psi, jac, mask),
-                                       config))
+        direction = grad
+        if config.optimizer == QNG:
+            ginv = qgt.invert_metric(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
+            fallback = ~ginv.any(axis=(-2, -1))
+            direction = np.where(fallback[:, None], grad, (ginv @ grad[..., None])[..., 0])
+        with np.errstate(over="ignore"):  # refused below, naming the learning rate
+            new = theta - config.learning_rate * direction
         if not np.abs(new).max() <= ansatz.THETA_MAX:  # also refuses NaN
             raise ValueError(f"learning rate {config.learning_rate!r} takes the parameters beyond "
                              f"{ansatz.THETA_MAX:.2g} in size at step {step + 1}")

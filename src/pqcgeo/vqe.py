@@ -99,15 +99,18 @@ def energy(hamiltonian: Hamiltonian, state: np.ndarray) -> np.ndarray | float:
     return expectation(state, hamiltonian.matrix())
 
 
-def gradient_from_state(hamiltonian: Hamiltonian, psi: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """dE/d theta_j = 2 Re <d_j psi|H|psi> from a (..., 4) state and its (..., 4, m) Jacobian."""
+def energy_and_gradient(hamiltonian: Hamiltonian, psi: np.ndarray,
+                        jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = Re <psi|H|psi> and dE/d theta_j = 2 Re <d_j psi|H|psi> from one H psi, for a
+    (..., 4) state and its (..., 4, m) Jacobian. Unlike energy, it does not check the state."""
     h_psi = hamiltonian.matrix() @ psi[..., None]
-    return 2.0 * np.real(jac.conj().swapaxes(-1, -2) @ h_psi)[..., 0]
+    return (np.vecdot(psi, h_psi[..., 0]).real,
+            2.0 * np.real(jac.conj().swapaxes(-1, -2) @ h_psi)[..., 0])
 
 
 def energy_gradient(kind: str, theta, hamiltonian: Hamiltonian) -> np.ndarray:
     """Analytic (..., m) gradient of the energy at (..., m) parameters."""
-    return gradient_from_state(hamiltonian, *ansatz.state_and_jacobian(kind, theta))
+    return energy_and_gradient(hamiltonian, *ansatz.state_and_jacobian(kind, theta))[1]
 
 
 @dataclass(frozen=True)

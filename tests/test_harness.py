@@ -83,14 +83,14 @@ def test_summary_mean_energy_error_ldca_qng_full_protocol():
 
 
 def test_partial_trial_failure_aborts(tmp_path, monkeypatch):
-    original = optimize.energy
+    original = optimize.energy_and_gradient
 
-    def one_row_non_finite(hamiltonian, psi):
-        e = original(hamiltonian, psi)
+    def one_row_non_finite(hamiltonian, psi, jac):
+        e, grad = original(hamiltonian, psi, jac)
         e[1] = np.nan
-        return e
+        return e, grad
 
-    monkeypatch.setattr(optimize, "energy", one_row_non_finite)
+    monkeypatch.setattr(optimize, "energy_and_gradient", one_row_non_finite)
     with pytest.raises(RuntimeError, match="non-finite energy"):
         _experiment(tmp_path / "out", trials=3)
     assert not (tmp_path / "out").exists()
@@ -458,6 +458,19 @@ def test_scan_landscape_takes_numpy_integers_as_int(tmp_path):
     assert [type(i) for i in meta["scan_indices"]] == [int, int]
 
 
+@pytest.mark.parametrize("clip", [(True, "8"), (True, 8.0), (-5.0, "8"), (np.True_, 8.0),
+                                  (None, 8.0), ("-5", "8"), (-5.0, 8.0, 9.0)],
+                         ids=["bool-text", "bool", "text", "numpy-bool", "none", "texts",
+                              "three"])
+def test_scan_landscape_refuses_bool_and_text_clip_bounds(tmp_path, clip):
+    # (True, "8") used to run as (1.0, 8.0) and write [1.0, 8.0] into _meta.json, and a
+    # third bound was ignored
+    with pytest.raises(ValueError, match="clip bounds must be two real numbers"):
+        harness.scan_landscape("hea", (0, 1), resolution=5, clip=clip,
+                               out_prefix=tmp_path / "scan" / "grid")
+    assert not any(tmp_path.iterdir())
+
+
 def test_non_finite_clip_bounds_fail_before_any_file_is_written(tmp_path, capsys):
     # an infinite bound used to be written into _meta.json as Infinity, which strict JSON
     # parsers refuse, and clip=(-inf, 8) left the -inf pole cells unclipped
@@ -542,6 +555,31 @@ def test_validation_mutation_negative_control(monkeypatch):
     suite = dict(harness.VALIDATION_SUITES)["concurrence-equivalence"]
     ok, detail = suite(np.random.default_rng(0))
     assert not ok
+
+
+def test_a_suite_that_raises_is_a_failed_row_and_validate_exits_1(monkeypatch, capsys):
+    # a NaN below the diagonal makes eigvalsh raise LinAlgError, which used to end the
+    # command with exit 2 ("error: Eigenvalues did not converge") and no table
+    assert main(["validate"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    original, calls = qgt._metric_from_qgt, []
+
+    def nan_in_hea(g, mask):
+        metric = original(g, mask)
+        if not calls:  # the suite builds hea's metrics first
+            metric[:, 1, 0] = np.nan
+        calls.append(mask)
+        return metric
+
+    monkeypatch.setattr(qgt, "_metric_from_qgt", nan_in_hea)
+    assert main(["validate"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 7 and lines[-1] == "VALIDATION FAILED"
+    row = lines[3].split(maxsplit=2)
+    assert row[:2] == ["qgt-structure", "FAIL"] and row[2].startswith("raised LinAlgError: ")
+    assert lines[:3] + lines[4:6] == clean[:3] + clean[4:6]
 
 
 def test_curvature_suite_catches_a_perturbed_closed_form(monkeypatch):
@@ -701,7 +739,7 @@ def test_cli_refuses_angles_beyond_the_bound_without_warnings(tmp_path, capsys, 
 @pytest.mark.parametrize("optimizer", ["gd", "qng"])
 def test_cli_refuses_a_learning_rate_whose_update_overflows(tmp_path, capsys, monkeypatch,
                                                             optimizer):
-    # lr * grad overflowed in step_gd and step_qng with a RuntimeWarning, and the angle
+    # lr * d overflowed in the update with a RuntimeWarning, and the angle
     # check then named the parameters instead of the learning rate
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.json").write_text('{"nu": [0, 0, 0, 0, 30, 30]}')
@@ -718,8 +756,13 @@ def test_cli_refuses_a_learning_rate_whose_update_overflows(tmp_path, capsys, mo
 
 
 def _non_finite_energy(monkeypatch):
-    original = optimize.energy
-    monkeypatch.setattr(optimize, "energy", lambda h, psi: np.full_like(original(h, psi), np.nan))
+    original = optimize.energy_and_gradient
+
+    def nan_energies(h, psi, jac):
+        e, grad = original(h, psi, jac)
+        return np.full_like(e, np.nan), grad
+
+    monkeypatch.setattr(optimize, "energy_and_gradient", nan_energies)
     optimize.run_trials("hea", vqe.load_bundled("entangled"), optimize.OptConfig(), 2)
 
 
@@ -1066,7 +1109,7 @@ def _per_sample_gradient_deviations(rng):
         for theta in thetas:
             samples.append((kind, theta))
             psi, jac = ansatz.state_and_jacobian(kind, theta)
-            grad = vqe.gradient_from_state(ham, psi, jac)
+            grad = vqe.energy_and_gradient(ham, psi, jac)[1]
             shift = h * np.eye(m)
             p2, p1, m1, m2 = ansatz.prepare_state(kind, np.stack(
                 [theta + 2 * shift, theta + shift, theta - shift, theta - 2 * shift]))
@@ -1162,9 +1205,13 @@ def test_gradient_suite_catches_a_perturbed_jacobian_column(monkeypatch):
 
 
 def test_gradient_suite_catches_a_perturbed_analytic_gradient(monkeypatch):
-    original = vqe.gradient_from_state
-    monkeypatch.setattr(vqe, "gradient_from_state",
-                        lambda ham, psi, jac: original(ham, psi, jac) * (1 + 1e-4))
+    original = vqe.energy_and_gradient
+
+    def perturbed(ham, psi, jac):
+        e, grad = original(ham, psi, jac)
+        return e, grad * (1 + 1e-4)
+
+    monkeypatch.setattr(vqe, "energy_and_gradient", perturbed)
     ok, detail = _gradient_suite(np.random.default_rng(7))
     assert not ok, detail
 
@@ -1173,10 +1220,14 @@ def test_gradient_suite_catches_a_perturbed_analytic_gradient(monkeypatch):
 def test_gradient_suite_checks_every_hamiltonian_term(monkeypatch, term):
     # the analytic gradient of H gains 1e-4 times that of its nu_t P_t part; the identity
     # term is left out, because its gradient is zero on normalized states
-    original = vqe.gradient_from_state
+    original = vqe.energy_and_gradient
     unit = vqe.Hamiltonian(nu=tuple(np.eye(6)[term]))
-    monkeypatch.setattr(vqe, "gradient_from_state", lambda ham, psi, jac: original(
-        ham, psi, jac) + 1e-4 * ham.nu[term] * original(unit, psi, jac))
+
+    def perturbed(ham, psi, jac):
+        e, grad = original(ham, psi, jac)
+        return e, grad + 1e-4 * ham.nu[term] * original(unit, psi, jac)[1]
+
+    monkeypatch.setattr(vqe, "energy_and_gradient", perturbed)
     ok, detail = _gradient_suite(np.random.default_rng(7))
     assert not ok, detail
 
@@ -1190,9 +1241,13 @@ def test_gradient_suite_reads_a_gradient_error_of_1e_9(monkeypatch):
 
     ok, clean = _gradient_suite(np.random.default_rng(7))
     assert ok, clean
-    original = vqe.gradient_from_state
-    monkeypatch.setattr(vqe, "gradient_from_state",
-                        lambda ham, psi, jac: original(ham, psi, jac) + 1e-9 * ham.nu[0])
+    original = vqe.energy_and_gradient
+
+    def perturbed(ham, psi, jac):
+        e, grad = original(ham, psi, jac)
+        return e, grad + 1e-9 * ham.nu[0]
+
+    monkeypatch.setattr(vqe, "energy_and_gradient", perturbed)
     ok, off = _gradient_suite(np.random.default_rng(7))
     assert ok, off  # far inside the 1e-6 tolerance
     assert figure(off) >= 10 * figure(clean), (clean, off)
@@ -1219,12 +1274,12 @@ def _call_log(monkeypatch, *targets):
 
 def test_gradient_suite_evaluates_each_family_once(monkeypatch):
     log = _call_log(monkeypatch, (ansatz, "state_and_jacobian"), (ansatz, "prepare_state"),
-                    (vqe, "energy"), (vqe, "gradient_from_state"))
+                    (vqe, "energy"), (vqe, "energy_and_gradient"))
     ok, detail = _gradient_suite(np.random.default_rng(7))
     assert ok, detail
     for name in ("state_and_jacobian", "prepare_state"):
         assert [kind for called, kind in log if called == name] == list(ansatz.ANSATZE), name
-    for name in ("energy", "gradient_from_state"):
+    for name in ("energy", "energy_and_gradient"):
         assert sum(called == name for called, _ in log) == len(ansatz.ANSATZE), name
 
 

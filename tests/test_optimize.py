@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqcgeo import ansatz, geometry, optimize, qgt, simulator, vqe
-from pqcgeo.optimize import OptConfig, run_optimization, step_gd, step_qng
+from pqcgeo.optimize import OptConfig, run_optimization
 
 RNG_SEED = 20260808
 
@@ -84,61 +84,6 @@ def test_float_settings_store_ints_and_numpy_floats_as_float(name, setting):
             setting(np.inf)
 
 
-def test_step_gd_fixed_point_and_arithmetic():
-    cfg = _cfg()
-    theta = np.array([1.0, 1.0])
-    assert np.array_equal(step_gd(theta, np.zeros(2), cfg), theta)
-    out = step_gd(theta, np.array([2.0, -2.0]), cfg)
-    assert np.abs(out - np.array([0.9, 1.1])).max() < 1e-15
-
-
-def test_step_gd_contracts_quadratic():
-    # L = ||theta||^2 / 2 has gradient theta: iterates scale by (1 - eta)
-    cfg = _cfg(learning_rate=0.05)
-    theta = np.array([2.0, -3.0, 0.5])
-    for _ in range(10):
-        new = step_gd(theta, theta, cfg)
-        assert np.abs(new - 0.95 * theta).max() < 1e-14
-        theta = new
-
-
-def test_step_qng_identity_metric_equals_gd():
-    rng = np.random.default_rng(RNG_SEED)
-    cfg = _cfg()
-    for _ in range(100):
-        theta, grad = rng.normal(size=5), rng.normal(size=5)
-        assert np.abs(step_qng(theta, grad, np.eye(5), cfg)[0]
-                      - step_gd(theta, grad, cfg)).max() < 1e-14
-
-
-def test_step_qng_scaled_metric_halves_step():
-    cfg = _cfg()
-    theta, grad = np.zeros(3), np.ones(3)
-    gd = step_gd(theta, grad, cfg)
-    qng, _ = step_qng(theta, grad, 2.0 * np.eye(3), cfg)
-    assert np.abs(qng - gd / 2.0).max() < 1e-14
-
-
-def test_step_qng_pseudo_inverse_projects_out_null_direction():
-    cfg = _cfg(learning_rate=0.05)
-    theta = np.array([0.4, 0.7])
-    out, _ = step_qng(theta, np.array([4.0, 4.0]), np.diag([4.0, 0.0]), cfg)
-    assert np.abs(out - (theta - np.array([0.05, 0.0]))).max() < 1e-14
-
-
-def test_monotone_descent_on_quadratic_for_both_steppers():
-    cfg = _cfg(learning_rate=0.05)
-    for metric in (None, np.diag([1.0, 2.0, 4.0])):
-        theta = np.array([1.5, -2.0, 3.0])
-        prev = float(theta @ theta) / 2
-        for _ in range(50):
-            theta = step_gd(theta, theta, cfg) if metric is None \
-                else step_qng(theta, theta, metric, cfg)[0]
-            val = float(theta @ theta) / 2
-            assert val <= prev + 1e-15
-            prev = val
-
-
 def test_run_optimization_immediate_stop_with_infinite_tol():
     h = vqe.load_bundled("entangled")
     cfg = _cfg(tol=np.inf, max_steps=200)
@@ -197,6 +142,41 @@ def test_qng_identity_metric_reproduces_gd_trace(monkeypatch):
     assert np.array_equal(gd_trace.theta, qng_trace.theta)
 
 
+def _constant_metric(monkeypatch, metric):
+    """Every QNG step of the engine reads this (m, m) metric on each row."""
+    monkeypatch.setattr(qgt, "fs_metric_from_state", lambda psi, jac, mask: np.broadcast_to(
+        metric, jac.shape[:-2] + metric.shape))
+
+
+def test_step_qng_scaled_metric_halves_step(monkeypatch):
+    h = vqe.load_bundled("entangled")
+    theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    gd = run_optimization("ldca", h, theta0, _cfg(optimizer="gd", max_steps=1)).theta
+    _constant_metric(monkeypatch, 2.0 * np.eye(5))
+    for inversion in (qgt.PseudoInverse(), qgt.Tikhonov(1e-12)):
+        trace = run_optimization("ldca", h, theta0, _cfg(optimizer="qng", max_steps=1,
+                                                         inversion=inversion))
+        assert not trace.qng_fallback.any()
+        assert np.abs((trace.theta[1] - theta0) - (gd[1] - theta0) / 2.0).max() < 1e-14
+
+
+def test_step_qng_pseudo_inverse_projects_out_null_direction(monkeypatch):
+    h = vqe.load_bundled("entangled")
+    theta0 = np.array([0.4, 0.7, 1.1, 1.3, 2.9])
+    grad = vqe.energy_gradient("ldca", theta0, h)
+    # ldca's energy gradient is zero along theta_1, theta_2 and theta_4, so the kept
+    # direction is theta_3, and theta_5's nonzero gradient is the one projected out
+    assert grad[2] != 0 and grad[4] != 0
+    _constant_metric(monkeypatch, np.diag([0.0, 0.0, 4.0, 0.0, 0.0]))
+    cfg = _cfg(optimizer="qng", max_steps=5, tol=1e-12, learning_rate=0.05)
+    trace = run_optimization("ldca", h, theta0, cfg)
+    assert len(trace) == 6 and not trace.qng_fallback.any()
+    # only theta_3 moves, first by eta grad_3 / 4; the other angles keep their bits
+    assert abs(trace.theta[1, 2] - (theta0[2] - 0.05 * grad[2] / 4.0)) < 1e-14
+    kept = [0, 1, 3, 4]
+    assert np.array_equal(trace.theta[:, kept], np.broadcast_to(theta0[kept], (6, 4)))
+
+
 def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
     h = vqe.load_bundled("entangled")
     theta0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
@@ -218,13 +198,8 @@ def test_initial_parameters_seeded_and_split():
 
 
 def test_dimension_mismatch_rejected():
-    cfg = _cfg()
-    with pytest.raises(ValueError):
-        step_gd(np.zeros(3), np.zeros(2), cfg)
-    with pytest.raises(ValueError):
-        step_qng(np.zeros(3), np.zeros(3), np.eye(2), cfg)
-    with pytest.raises(ValueError):
-        run_optimization("hea", vqe.load_bundled("entangled"), np.zeros(5), cfg)
+    with pytest.raises(ValueError, match=r"theta0 has shape \(5,\), expected \(4,\)"):
+        run_optimization("hea", vqe.load_bundled("entangled"), np.zeros(5), _cfg())
 
 
 class _DegenerateMetric(RuntimeError):
@@ -352,6 +327,32 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
         assert calls["state_and_jacobian"] == max(len(t) for t in traces)
         assert min(len(t) for t in traces) < max(len(t) for t in traces)
     assert calls["other_maps"] == 0 and calls["matrix"] == 0
+
+
+def test_energy_and_gradient_come_from_one_call_per_step_and_no_expectation(monkeypatch):
+    # the loop took the gradient from one H psi and the energy from a second, checked one
+    def refused(*args, **kwargs):
+        raise AssertionError("the engine computed an energy through expectation")
+
+    for owner, name in ((vqe, "energy"), (vqe, "expectation"), (simulator, "expectation")):
+        monkeypatch.setattr(owner, name, refused)
+    calls = []
+    original = optimize.energy_and_gradient
+
+    def counted(h, psi, jac):
+        calls.append(len(psi))
+        return original(h, psi, jac)
+
+    monkeypatch.setattr(optimize, "energy_and_gradient", counted)
+    h = vqe.load_bundled("entangled")
+    for optimizer in ("gd", "qng"):
+        calls.clear()
+        traces = optimize.run_trials("ldca", h, _cfg(optimizer=optimizer, max_steps=40,
+                                                     tol=1e-3, seed=6), 7)
+        steps = max(map(len, traces))
+        assert min(map(len, traces)) < steps
+        # one call per step, on the rows still running at that step
+        assert calls == [sum(len(t) > step for t in traces) for step in range(steps)]
 
 
 def test_derived_columns_are_computed_once_per_run_whatever_the_steps(monkeypatch):

@@ -94,6 +94,21 @@ def test_energy_gradient_matches_finite_differences():
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("rows", [10, 20_000])
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_energy_and_gradient_equal_energy_and_the_gradient_formula_bit_for_bit(kind, rows):
+    # one H psi gives both; 20,000 rows are above numpy's in-place temporary size
+    rng = np.random.default_rng((RNG_SEED, rows, ANSATZE.index(kind)))
+    theta = rng.uniform(0, 2 * np.pi, (rows, ansatz.param_count(kind)))
+    ham = vqe.Hamiltonian(nu=tuple(rng.normal(size=6)))
+    psi, jac = ansatz.state_and_jacobian(kind, theta)
+    e, grad = vqe.energy_and_gradient(ham, psi, jac)
+    assert e.shape == (rows,) and grad.shape == theta.shape
+    assert np.array_equal(e, vqe.energy(ham, psi))
+    assert np.array_equal(grad, 2.0 * np.real(
+        jac.conj().swapaxes(-1, -2) @ (ham.matrix() @ psi[..., None]))[..., 0])
+
+
 def test_energy_gradient_constant_objective():
     rng = np.random.default_rng(RNG_SEED + 4)
     h = vqe.Hamiltonian(nu=(0.7, 0, 0, 0, 0, 0))
