@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import SingularityError, ricci_closed
+from .geometry import ricci_closed
 
 HEA = "hea"
 LDCA = "ldca"
@@ -78,12 +78,16 @@ def param_count(kind: str) -> int:
 
 def _check_theta(kind: str, theta) -> np.ndarray:
     """theta as a float array of shape (..., m), every value finite and at most THETA_MAX."""
-    theta = np.asarray(theta, dtype=float)
+    too_large = f"parameters must be finite and at most {THETA_MAX:.2g} in size"
+    try:
+        theta = np.asarray(theta, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(too_large) from None
     m = _N_PARAMS[kind]
     if theta.shape[-1:] != (m,):
         raise ValueError(f"{kind} takes {m} parameters, got shape {theta.shape}")
     if not np.all(np.abs(theta) <= THETA_MAX):
-        raise ValueError(f"parameters must be finite and at most {THETA_MAX:.2g} in size")
+        raise ValueError(too_large)
     return theta
 
 
@@ -289,20 +293,6 @@ def concurrence_closed(kind: str, theta) -> np.ndarray | float:
     kind = resolve_kind(kind)
     c = _concurrence(kind, _columns(_check_theta(kind, theta)))
     return float(c) if np.ndim(c) == 0 else c
-
-
-def ricci_closed_circuit(kind: str, theta) -> float:
-    """Per-circuit scalar curvature R(C) at a single parameter vector.
-
-    This is the ricci_circuit_grid value; SingularityError is raised exactly
-    where that is -inf, on the maximal-entanglement pole C == 1.
-    """
-    r = ricci_circuit_grid(kind, theta)
-    if np.ndim(r) != 0:
-        raise ValueError(f"expected one parameter vector, got shape {np.shape(theta)}")
-    if r == -np.inf:
-        raise SingularityError("curvature pole: concurrence = 1.0")
-    return r
 
 
 def ricci_circuit_grid(kind: str, theta) -> np.ndarray | float:

@@ -67,18 +67,12 @@ def run_vqe_experiment(kind: str, hamiltonian: vqe.Hamiltonian, opt: optimize.Op
                        trials: int, out_dir: str | Path) -> dict:
     """Run the multi-trial experiment and write trial CSVs plus summary.json.
 
-    The trials run before out_dir is created or cleared, so a refused or
-    failing run leaves it untouched.
+    The trials run and the summary is built before out_dir is created or
+    cleared, so a refused or failing run leaves it untouched.
     """
     kind = ansatz.resolve_kind(kind)
     traces = optimize.run_trials(kind, hamiltonian, opt, trials)
     ground = vqe.exact_ground(hamiltonian)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for stale in out.glob("trial_*.csv"):  # left by an earlier run with more trials
-        stale.unlink()
-    for k, trace in enumerate(traces):
-        write_trace_csv(out / f"trial_{k:03d}.csv", trace)
     summary = {
         "ansatz": kind,
         "optimizer": opt.optimizer,
@@ -95,7 +89,14 @@ def run_vqe_experiment(kind: str, hamiltonian: vqe.Hamiltonian, opt: optimize.Op
                         "ground_concurrence": ground.concurrence},
     }
     summary.update(summarize(traces, opt))
-    (out / "summary.json").write_text(json.dumps(summary, indent=1) + "\n", encoding="utf-8")
+    summary_text = json.dumps(summary, indent=1) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("trial_*.csv"):  # left by an earlier run with more trials
+        stale.unlink()
+    for k, trace in enumerate(traces):
+        write_trace_csv(out / f"trial_{k:03d}.csv", trace)
+    (out / "summary.json").write_text(summary_text, encoding="utf-8")
     return summary
 
 
@@ -123,11 +124,15 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if len(clip) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
                                  for v in clip):
         raise ValueError(f"clip bounds must be two real numbers, got {clip!r}")
-    lo, hi = float(clip[0]), float(clip[1])
+    try:
+        lo, hi = float(clip[0]), float(clip[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"clip bounds must be finite with lo < hi, got {clip[0]!r} and "
+                         f"{clip[1]!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"clip bounds must be finite with lo < hi, got {lo!r} and {hi!r}")
-    base = np.zeros(m) if fixed_theta is None else np.asarray(fixed_theta, dtype=float)
-    if base.shape != (m,):
+    base = np.zeros(m) if fixed_theta is None else fixed_theta
+    if np.shape(base) != (m,):
         raise ValueError(f"fixed parameter vector must have length {m}")
     base = ansatz._check_theta(kind, base)  # the scanned slots too, which meta records
     axis = np.linspace(0.0, 2.0 * np.pi, resolution)

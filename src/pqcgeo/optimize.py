@@ -9,6 +9,7 @@ maximally entangled passes yield large negative finite values).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ class OptConfig:
             self.learning_rate, "learning_rate"))
         object.__setattr__(self, "max_steps", _integer(
             self.max_steps, 1, "max_steps must be an integer of at least 1"))
+        if self.max_steps >= sys.maxsize:  # a run's step list could not hold its steps
+            raise ValueError(f"max_steps must be below {sys.maxsize}, got {self.max_steps!r}")
         # tol = inf stops every run after its first step
         object.__setattr__(self, "tol", qgt._positive_float(self.tol, "tol", finite=False))
         if self.optimizer not in (GD, QNG):
@@ -129,10 +132,10 @@ def run_optimization(kind: str, hamiltonian: Hamiltonian, theta0,
     given (theta0, config), and the same trace, bit for bit, as this starting
     point gets as one row of run_trials.
     """
-    theta = np.array(theta0, dtype=float)
-    if theta.shape != (ansatz.param_count(kind),):
-        raise ValueError(f"theta0 has shape {theta.shape}, expected ({ansatz.param_count(kind)},)")
-    return _run_batch(kind, hamiltonian, theta[None], config)[0]
+    m = ansatz.param_count(kind)
+    if np.shape(theta0) != (m,):
+        raise ValueError(f"theta0 has shape {np.shape(theta0)}, expected ({m},)")
+    return _run_batch(kind, hamiltonian, ansatz._check_theta(kind, theta0)[None], config)[0]
 
 
 def initial_parameters(kind: str, config: OptConfig, trial: int) -> np.ndarray:

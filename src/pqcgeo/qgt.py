@@ -25,12 +25,18 @@ METRIC_MODES = (DENSE, BLOCK, DIAG)
 
 def _positive_float(value, name: str, finite: bool = True) -> float:
     """float(value) for a real number above 0 that is not bool, and finite unless
-    finite is False; ValueError otherwise."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (0 < value and (value < math.inf or not finite))):
+    finite is False; ValueError otherwise. An integer beyond the float range reads
+    as the infinity of its sign."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf if value > 0 else -math.inf
+    if not (0 < number and (number < math.inf or not finite)):
         raise ValueError(f"{name} must be positive{' and finite' if finite else ''}, "
                          f"got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,6 @@ def qgt_from_state(psi: np.ndarray, jac: np.ndarray) -> np.ndarray:
     jac_h = jac.conj().swapaxes(-1, -2)
     v = (jac_h @ psi[..., None])[..., 0]
     return jac_h @ jac - v[..., :, None] * v.conj()[..., None, :]
-
-
-def qgt_full(kind: str, theta) -> np.ndarray:
-    """Hermitian (..., m, m) QGT of the ansatz at (..., m) parameters."""
-    psi, jac = ansatz.state_and_jacobian(kind, theta)
-    return qgt_from_state(psi, jac)
 
 
 def block_mask(kind: str, mode: str) -> np.ndarray:

@@ -12,6 +12,7 @@ Gate conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,11 @@ class GateSpec:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if not np.isfinite(self.angle):
+        try:
+            finite = math.isfinite(self.angle)
+        except (TypeError, OverflowError):  # not a real number, or an integer beyond float
+            finite = False
+        if not finite:
             raise ValueError("gate angle must be finite")
         if self.generator in SINGLE_QUBIT_GENERATORS:
             if self.qubits not in ((1,), (2,)):

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import pqcgeo
 from pqcgeo import ansatz, geometry, qgt, simulator as sim, vqe
 from pqcgeo.ansatz import ANSATZE, HEA, LDCA, QGAN, QGAN_AUG, SHEA
 
@@ -279,26 +278,21 @@ def test_qgan_aug_concurrence_ignores_local_rotations():
 
 def test_ricci_circuit_examples():
     # C = 0 gives 12 - 1/1 + 1/(-1) = 10
-    assert ansatz.ricci_closed_circuit(HEA, [0.0, 0.3, 0.2, 0.1]) == pytest.approx(10.0, abs=1e-12)
-    assert ansatz.ricci_closed_circuit(LDCA, [0.4, 0.5, 0, 0.6, 0]) == pytest.approx(10.0, abs=1e-12)
+    assert ansatz.ricci_circuit_grid(HEA, [0.0, 0.3, 0.2, 0.1]) == pytest.approx(10.0, abs=1e-12)
+    assert ansatz.ricci_circuit_grid(LDCA, [0.4, 0.5, 0, 0.6, 0]) == pytest.approx(10.0, abs=1e-12)
     # sin(2 t1) = 1/sqrt(2) at t1 = pi/8 gives C = 1/sqrt(2) and curvature 8
-    assert ansatz.ricci_closed_circuit(HEA, [np.pi / 8, 0, 0, 0]) == pytest.approx(8.0, abs=1e-12)
+    assert ansatz.ricci_circuit_grid(HEA, [np.pi / 8, 0, 0, 0]) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_ricci_circuit_singularity_signal():
-    with pytest.raises(ansatz.SingularityError):
-        ansatz.ricci_closed_circuit(HEA, [np.pi / 4, 0, 0, 0])
     assert ansatz.ricci_circuit_grid(HEA, [np.pi / 4, 0, 0, 0]) == -np.inf
-    # geometry owns the class; ansatz and the package re-export the same one
-    assert ansatz.SingularityError is geometry.SingularityError is pqcgeo.SingularityError
 
 
 def test_ricci_circuit_near_the_pole_returns_the_grid_value():
     # C = 0.99999999999998 lies within 1e-12 of the pole, where a threshold used to raise
     theta = [np.pi / 4 + 1e-7, 0.0, 0.0, 0.0]
     assert 1.0 - 1e-12 < ansatz.concurrence_closed(HEA, theta) < 1.0
-    r = ansatz.ricci_closed_circuit(HEA, theta)
-    assert r == ansatz.ricci_circuit_grid(HEA, theta)
+    r = ansatz.ricci_circuit_grid(HEA, theta)
     assert r == pytest.approx(-5.004e13, rel=1e-3)
 
 
@@ -317,22 +311,23 @@ def test_ricci_closed_circuit_matches_the_thresholded_copy_it_replaced(kind):
     rng = np.random.default_rng(RNG_SEED)
     thetas = rng.uniform(0, 2 * np.pi, size=(20_000, ansatz.param_count(kind)))
     for theta in thetas:
-        r = ansatz.ricci_closed_circuit(kind, theta)
+        r = ansatz.ricci_circuit_grid(kind, theta)
         try:
             expected = _reference_ricci_closed_circuit(kind, theta)
         except geometry.SingularityError:
             # the one change: 1 - 1e-12 < C < 1 now gets the grid's finite value
             assert 1.0 - 1e-12 < ansatz.concurrence_closed(kind, theta) < 1.0, theta
-            expected = ansatz.ricci_circuit_grid(kind, theta)
-            assert expected > -np.inf
+            assert r > -np.inf
+            expected = r
         assert type(r) is float and r == expected, theta
     pole = {HEA: [np.pi / 4, 0, 0, 0], LDCA: [0, 0, np.pi / 4, 0, 0],
             QGAN: [np.pi / 2, np.pi / 2, 0, 0, np.pi / 2],
             SHEA: [np.pi / 2, np.pi / 2, np.pi, 0, 0, 0],
             QGAN_AUG: [np.pi / 2, np.pi / 2, 0, 0, np.pi / 2, 0, 0, 0, 0]}[kind]
-    for fn in (ansatz.ricci_closed_circuit, _reference_ricci_closed_circuit):
-        with pytest.raises(ansatz.SingularityError, match="curvature pole"):
-            fn(kind, pole)
+    # the grid reads -inf where the reference raises
+    assert ansatz.ricci_circuit_grid(kind, pole) == -np.inf
+    with pytest.raises(geometry.SingularityError, match="curvature pole"):
+        _reference_ricci_closed_circuit(kind, pole)
 
 
 @pytest.mark.parametrize("kind", ANSATZE)
@@ -503,8 +498,17 @@ def test_batched_parameters_validated_and_curvature_single_vector():
         ansatz.state_and_jacobian(HEA, bad)
     with pytest.raises(ValueError, match="finite"):
         ansatz.ricci_circuit_grid(HEA, bad)
-    with pytest.raises(ValueError, match="one parameter vector"):
-        ansatz.ricci_closed_circuit(HEA, np.zeros((2, 4)))
+    assert type(ansatz.ricci_circuit_grid(HEA, np.zeros(4))) is float
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parameters_beyond_the_float_range_are_refused(sign):
+    # the conversion to float raised OverflowError
+    theta = [0, 0, 0, sign * 10**400]
+    for fn in (ansatz.prepare_state, ansatz.state_and_jacobian, ansatz.concurrence_closed,
+               ansatz.ricci_circuit_grid):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            fn(HEA, theta)
 
 
 @pytest.mark.parametrize("kind", ANSATZE)

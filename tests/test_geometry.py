@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pqcgeo import ansatz, geometry as geo, qgt
-from pqcgeo.ansatz import HEA, LDCA, QGAN, SingularityError
+from pqcgeo.ansatz import HEA, LDCA, QGAN
+from pqcgeo.geometry import SingularityError
 
 RNG_SEED = 20260808
 

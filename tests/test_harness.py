@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from collections import namedtuple
@@ -471,6 +472,20 @@ def test_scan_landscape_refuses_bool_and_text_clip_bounds(tmp_path, clip):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("big", [10**400, -10**400], ids=["10**400", "-10**400"])
+def test_scan_and_hopf_refuse_integers_beyond_the_float_range(tmp_path, big):
+    # the conversions to float raised OverflowError
+    for kwargs, message in (({"clip": (-5, big)}, "clip bounds must be finite"),
+                            ({"clip": (big, 10)}, "clip bounds must be finite"),
+                            ({"fixed_theta": [0, 0, big, 0]}, "parameters must be finite")):
+        with pytest.raises(ValueError, match=message):
+            harness.scan_landscape("hea", (0, 1), resolution=5, out_prefix=tmp_path / "scan",
+                                   **kwargs)
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        harness.hopf_report("hea", [0, 0, 0, big])
+
+
 def test_non_finite_clip_bounds_fail_before_any_file_is_written(tmp_path, capsys):
     # an infinite bound used to be written into _meta.json as Infinity, which strict JSON
     # parsers refuse, and clip=(-inf, 8) left the -inf pole cells unclipped
@@ -753,6 +768,34 @@ def test_cli_refuses_a_learning_rate_whose_update_overflows(tmp_path, capsys, mo
     assert err == ("error: learning rate 1e+308 takes the parameters beyond 2.2e+307 in size "
                    "at step 1\n")
     assert [p.name for p in tmp_path.iterdir()] == ["big.json"]
+
+
+def test_cli_refuses_a_step_count_that_no_step_list_can_hold(tmp_path, capsys):
+    # the trials ran, and then the summary's list(range(steps + 1)) raised OverflowError
+    out = tmp_path / "run"
+    assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--trials", "2",
+                 "--steps", "1000000000000000000000", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: max_steps must be below {sys.maxsize}, got 1000000000000000000000\n"
+    assert not out.exists()
+
+
+def test_a_run_whose_summary_fails_leaves_its_out_directory_untouched(tmp_path, capsys,
+                                                                     monkeypatch):
+    # --steps 100000000000 ran out of memory in summarize after the trial CSVs were written
+    def out_of_memory(traces, config):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "summarize", out_of_memory)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "trial_007.csv").write_text("earlier run\n")
+    assert main(["run-vqe", "--ansatz", "hea", "--hamiltonian", "entangled", "--trials", "2",
+                 "--steps", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert [p.name for p in out.iterdir()] == ["trial_007.csv"]
+    assert (out / "trial_007.csv").read_text() == "earlier run\n"
 
 
 def _non_finite_energy(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,33 @@ def test_float_settings_store_ints_and_numpy_floats_as_float(name, setting):
     else:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite, got inf"):
             setting(np.inf)
+
+
+@pytest.mark.parametrize("name,setting", _FLOAT_SETTINGS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_float_settings_read_an_integer_beyond_the_float_range_as_infinite(name, setting, sign):
+    # float() of such an integer raised OverflowError
+    value = sign * 10**400
+    if name == "tol" and sign == 1:  # like tol = inf, it stops every run after its first step
+        assert setting(value) == np.inf
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            setting(value)
+
+
+def test_config_refuses_max_steps_that_no_step_list_can_hold():
+    # 10**21 ran every trial and then raised OverflowError in the run summary's step list
+    for steps in (sys.maxsize, 10**21):
+        with pytest.raises(ValueError, match=f"max_steps must be below {sys.maxsize}, got "):
+            OptConfig(max_steps=steps)
+    assert OptConfig(max_steps=sys.maxsize - 1).max_steps == sys.maxsize - 1
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_run_optimization_refuses_a_start_beyond_the_float_range(sign):
+    # np.array(theta0, dtype=float) raised OverflowError
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        run_optimization("hea", vqe.load_bundled("entangled"), [0, 0, 0, sign * 10**400], _cfg())
 
 
 def test_run_optimization_immediate_stop_with_infinite_tol():

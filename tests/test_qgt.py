@@ -13,7 +13,8 @@ def test_qgt_hermitian_and_psd():
     rng = np.random.default_rng(RNG_SEED)
     for kind in ANSATZE:
         for _ in range(2000):
-            g = qgt.qgt_full(kind, ansatz.random_parameters(kind, rng))
+            theta = ansatz.random_parameters(kind, rng)
+            g = qgt.qgt_from_state(*ansatz.state_and_jacobian(kind, theta))
             assert np.abs(g - g.conj().T).max() < 1e-10
             w = np.linalg.eigvalsh(0.5 * (g.real + g.real.T))
             assert w[0] > -1e-10
@@ -41,7 +42,7 @@ def test_dense_mode_equals_real_part_exactly():
     for kind in ANSATZE:
         theta = ansatz.random_parameters(kind, rng)
         g = qgt.fs_metric(kind, theta, mode="dense")
-        full = qgt.qgt_full(kind, theta).real
+        full = qgt.qgt_from_state(*ansatz.state_and_jacobian(kind, theta)).real
         assert np.abs(g - 0.5 * (full + full.T)).max() == 0.0
 
 
@@ -209,7 +210,7 @@ def test_batched_qgt_metric_and_gradient_match_per_row_calls(kind):
     thetas = rng.uniform(0, 2 * np.pi, (7, 3, m))
     flat = thetas.reshape(-1, m)
     ham = vqe.load_bundled("entangled")
-    cases = [(lambda t: qgt.qgt_full(kind, t), (m, m)),
+    cases = [(lambda t: qgt.qgt_from_state(*ansatz.state_and_jacobian(kind, t)), (m, m)),
              (lambda t: vqe.energy_gradient(kind, t, ham), (m,))]
     cases += [(lambda t, mode=mode: qgt.fs_metric(kind, t, mode), (m, m))
               for mode in qgt.METRIC_MODES]

@@ -165,3 +165,7 @@ def test_gate_spec_validation():
         sim.GateSpec("XX", 0.1, (1,))
     with pytest.raises(ValueError):
         sim.GateSpec("X", np.nan, (1,))
+    # np.isfinite raised TypeError on the first three and let the complex angle through
+    for angle in (10**400, -10**400, "0.5", 1j):
+        with pytest.raises(ValueError, match="gate angle must be finite"):
+            sim.rotation("X", angle, 1)
