@@ -77,8 +77,15 @@ def param_count(kind: str) -> int:
 
 
 def _check_theta(kind: str, theta) -> np.ndarray:
-    """theta as a float array of shape (..., m), every value finite and at most THETA_MAX."""
+    """theta as a float array of shape (..., m), every value finite and at most THETA_MAX;
+    text and bool are refused, which the float conversion would parse or read as 1.0."""
     too_large = f"parameters must be finite and at most {THETA_MAX:.2g} in size"
+    if not isinstance(theta, np.ndarray) or theta.dtype.kind not in "fiu":
+        bad = [v for v in np.asarray(theta, dtype=object).flat
+               if isinstance(v, (bool, np.bool_, str, bytes))]
+        if bad:
+            v = bad[0].item() if isinstance(bad[0], np.generic) else bad[0]
+            raise ValueError(f"parameters must be numbers, not text or bool: got {v!r}")
     try:
         theta = np.asarray(theta, dtype=float)
     except OverflowError:  # an integer beyond the float range

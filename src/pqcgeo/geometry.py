@@ -17,9 +17,9 @@ quaternionic Fubini-Study metric on the base gives the scalar curvature
 
 which the numeric Christoffel/curvature engine below reproduces and which
 :mod:`pqcgeo.ansatz` evaluates at each family's closed-form concurrence to
-give the per-circuit curvature. The engine calls the metric once per stencil
-point, in loop order, then inverts and contracts the stencil as one stack; the
-point's own inverse metric is the stack's first.
+give the per-circuit curvature. The engine's one core, scalar_curvature_stack,
+calls a stacked metric once on the stencils of all its points; the per-point
+entries call a per-point metric at each stencil point through an adapter.
 """
 from __future__ import annotations
 
@@ -224,27 +224,29 @@ def hopf_fiber(state, convention: str = FRAME_ORTHONORMAL) -> FiberQuaternion:
 # base metric and closed-form curvature
 # ---------------------------------------------------------------------------
 
-def mfs_metric(c: float, chi: float, phi: float, theta: float,
-               convention: str = SIN_ON_DTHETA) -> np.ndarray:
+def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarray:
     """Quaternionic Fubini-Study metric on the base, in coordinates (C, chi, Phi, Theta).
 
     Diagonal with entries 1/(1-C^2) and C^2 on the first two coordinates; the
     (Phi, Theta) sector carries (1-C^2) weights placed according to the chart
     convention. The default convention is the one whose numeric scalar
     curvature reproduces ricci_closed (see resolve_chart_convention).
+    Broadcasts over array coordinates to (..., 4, 4), each metric equal bit for
+    bit to its own scalar call; a C outside [0, 1) is refused, the first in C order.
     """
     if convention not in CHART_CONVENTIONS:
         raise ValueError(f"unknown chart convention {convention!r}")
-    if not 0.0 <= c < 1.0:
-        raise SingularityError(f"chart requires 0 <= C < 1, got {float(c)!r}")
+    c = np.asarray(c)
+    bad = c[~((0.0 <= c) & (c < 1.0))]
+    if bad.size:
+        raise SingularityError(f"chart requires 0 <= C < 1, got {float(bad[0])!r}")
     h = 1.0 - c * c
-    s2 = np.sin(theta) ** 2
-    if convention == SIN_ON_DTHETA:
-        gpp, gtt = h, h * s2
-    else:
-        gpp, gtt = h * s2, h
-    g = np.zeros((4, 4))
-    g.flat[::5] = 1.0 / h, c * c, gpp, gtt
+    # libm pow, as ** 2 is on a numpy scalar; an array's ** 2 is a product, off in the last bit
+    s2 = np.float_power(np.sin(theta), 2)
+    gpp, gtt = (h, h * s2) if convention == SIN_ON_DTHETA else (h * s2, h)
+    g = np.zeros(np.broadcast_shapes(*map(np.shape, (c, chi, phi, theta))) + (4, 4))
+    for k, entry in enumerate((1.0 / h, c * c, gpp, gtt)):
+        g[..., k, k] = entry
     return g
 
 
@@ -261,7 +263,8 @@ def ricci_closed(c) -> np.ndarray | float:
 # numeric tensor calculus (independent oracle for every curvature claim)
 # ---------------------------------------------------------------------------
 
-MetricFn = Callable[[np.ndarray], np.ndarray]
+MetricFn = Callable[[np.ndarray], np.ndarray]          # (n,) point -> (n, n) metric
+StackedMetricFn = Callable[[np.ndarray], np.ndarray]   # (..., n) points -> (..., n, n)
 FD_STEP = 1e-4  # central-difference step of the numeric tensor calculus
 
 
@@ -274,26 +277,30 @@ def _metric_inverse(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g)
 
 
-def _neighbours(point: np.ndarray, step: float) -> list[np.ndarray]:
-    """point + step e_0, point - step e_0, point + step e_1, ..."""
-    out = []
-    for k in range(point.size):
-        xp, xm = point.copy(), point.copy()
-        xp[k] += step
-        xm[k] -= step
-        out += [xp, xm]
+def _shifted(x: np.ndarray, step: float) -> np.ndarray:
+    """x, then x + step e_0, x - step e_0, x + step e_1, ...: (..., n) points give
+    (..., 1 + 2n, n), each shift an `x[k] += step` on a copy of x."""
+    n = x.shape[-1]
+    out = np.repeat(x[..., None, :], 1 + 2 * n, axis=-2)
+    k = np.arange(n)
+    out[..., 1 + 2 * k, k] += step
+    out[..., 2 + 2 * k, k] -= step
     return out
 
 
-def _christoffel_stencil(metric: MetricFn,
-                         centres: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Christoffel symbols at each centre, (len(centres), n, n, n), and the inverse metric
-    there, (len(centres), n, n). The metric is called at a centre and its
-    _neighbours(centre, FD_STEP), centre by centre, then inverted as one stack."""
-    g = np.array([[np.asarray(metric(x), float) for x in (p, *_neighbours(p, FD_STEP))]
-                  for p in centres])
-    ginv = _metric_inverse(g[:, 0])
-    dg = (g[:, 1::2] - g[:, 2::2]) / (2.0 * FD_STEP)  # [centre, k]: d/dx_k of g
+def _per_point(metric: MetricFn) -> StackedMetricFn:
+    """A stacked metric that calls the per-point metric at each point, in C order."""
+    return lambda x: np.array([np.asarray(metric(p), float) for p in x.reshape(-1, x.shape[-1])]
+                              ).reshape(x.shape + x.shape[-1:])
+
+
+def _christoffel_stack(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols (..., n, n, n) and inverse metric (..., n, n) at each centre,
+    from its (..., 1 + 2n, n, n) metrics at _shifted(centre, FD_STEP)."""
+    # einsum sums a non-contiguous stack in another order: the bits would depend on the caller
+    g = np.ascontiguousarray(g, dtype=float)
+    ginv = _metric_inverse(g[..., 0, :, :])
+    dg = (g[..., 1::2, :, :] - g[..., 2::2, :, :]) / (2.0 * FD_STEP)  # [..., k]: d/dx_k of g
     gam = 0.5 * (np.einsum("...cd,...bda->...cab", ginv, dg)
                  + np.einsum("...cd,...adb->...cab", ginv, dg)
                  - np.einsum("...cd,...dab->...cab", ginv, dg))
@@ -306,7 +313,33 @@ def christoffel(metric: MetricFn, point) -> np.ndarray:
     Partial derivatives of the metric are central differences of step
     FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
-    return _christoffel_stencil(metric, [np.asarray(point, dtype=float)])[0][0]
+    stencil = _shifted(np.asarray(point, dtype=float), FD_STEP)
+    return _christoffel_stack(_per_point(metric)(stencil))[0]
+
+
+def scalar_curvature_stack(metric: StackedMetricFn, points) -> np.ndarray:
+    """Scalar curvature at each of (P, n) points, from one call of a stacked metric.
+
+    The metric maps (..., n) points to (..., n, n) metrics and is called once, on the
+    (P, 1 + 4n, 1 + 2n, n) stencil: per point, the point and its centres at +-FD_STEP/2
+    and at +-FD_STEP, each centre followed by its own +-FD_STEP neighbours. R is that of
+    scalar_curvature_numeric at each point, bit for bit, when the metric's rows equal its
+    per-point calls bit for bit. Returns a (P,) array.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"expected a (P, n) array of points, got shape {points.shape}")
+    n = points.shape[-1]
+    centres = np.concatenate([_shifted(points, FD_STEP / 2.0),
+                              _shifted(points, FD_STEP)[:, 1:]], axis=1)
+    gam, ginv = _christoffel_stack(metric(_shifted(centres, FD_STEP)))
+    ginv, gam0 = ginv[:, 0], gam[:, 0]
+    diff = gam[:, 1::2] - gam[:, 2::2]  # d/dx_k for each k at step FD_STEP/2, then at FD_STEP
+    dgam = (4.0 * (diff[:, :n] / (2.0 * (FD_STEP / 2.0))) - diff[:, n:] / (2.0 * FD_STEP)) / 3.0
+    # point by point: an einsum over the point axis too sums in another order
+    return np.array([np.einsum("ab,ccab->", gi, dg) - np.einsum("ab,bcac->", gi, dg)
+                     + np.einsum("ab,dab,ccd->", gi, g0, g0) - np.einsum("ab,dac,cbd->", gi, g0, g0)
+                     for gi, dg, g0 in zip(ginv, dgam, gam0)])
 
 
 def scalar_curvature_numeric(metric: MetricFn, point) -> float:
@@ -316,21 +349,12 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
                 + Gamma^d_ab Gamma^c_cd - Gamma^d_ac Gamma^c_bd)
 
     The outer derivative uses steps (FD_STEP, FD_STEP/2) combined by
-    Richardson extrapolation. The metric is called per stencil point in loop order over the
-    1 + 4n Christoffel centres, the point first, which are inverted and contracted as one
-    stack; the point's g^{ab} is that stack's first inverse.
+    Richardson extrapolation. This is scalar_curvature_stack at one point, with the
+    per-point metric called at each stencil point in that stencil's order: the 1 + 4n
+    Christoffel centres, the point first, each followed by its 2n neighbours.
     """
     point = np.asarray(point, dtype=float)
-    centres = [point, *_neighbours(point, FD_STEP / 2.0), *_neighbours(point, FD_STEP)]
-    gam, ginv = _christoffel_stencil(metric, centres)
-    ginv, n = ginv[0], point.size
-    diff = gam[1::2] - gam[2::2]  # d/dx_k for each k at step FD_STEP/2, then at FD_STEP
-    dgam = (4.0 * (diff[:n] / (2.0 * (FD_STEP / 2.0))) - diff[n:] / (2.0 * FD_STEP)) / 3.0
-    r = (np.einsum("ab,ccab->", ginv, dgam)
-         - np.einsum("ab,bcac->", ginv, dgam)
-         + np.einsum("ab,dab,ccd->", ginv, gam[0], gam[0])
-         - np.einsum("ab,dac,cbd->", ginv, gam[0], gam[0]))
-    return float(r)
+    return float(scalar_curvature_stack(_per_point(metric), point[None])[0])
 
 
 def resolve_chart_convention(tol: float = 1e-3) -> tuple[str, dict]:
@@ -340,22 +364,18 @@ def resolve_chart_convention(tol: float = 1e-3) -> tuple[str, dict]:
     deviation per convention over the nine concurrences 0.1, 0.2, ..., 0.9.
     Exactly one convention is expected to match; a tie or an empty match raises.
     """
-    angles = (0.7, 1.1, 1.3)  # generic chi, Phi, Theta away from coordinate poles
-    devs = {}
-    for conv in CHART_CONVENTIONS:
-        worst = 0.0
-        metric = _mfs_field(conv)
-        for c in np.arange(0.1, 0.91, 0.1):
-            r = scalar_curvature_numeric(metric, np.array([c, *angles]))
-            worst = max(worst, abs(r - ricci_closed(c)))
-        devs[conv] = worst
+    c = np.arange(0.1, 0.91, 0.1)
+    # generic chi, Phi, Theta away from coordinate poles
+    points = np.stack(np.broadcast_arrays(c, 0.7, 1.1, 1.3), axis=-1)
+    devs = {conv: float(np.abs(scalar_curvature_stack(_mfs_field(conv), points)
+                               - ricci_closed(c)).max()) for conv in CHART_CONVENTIONS}
     matching = [k for k, v in devs.items() if v <= tol]
     if len(matching) != 1:
         raise RuntimeError(f"expected exactly one matching convention, deviations {devs}")
     return matching[0], devs
 
 
-def _mfs_field(convention: str) -> MetricFn:
+def _mfs_field(convention: str) -> StackedMetricFn:
     def metric(x: np.ndarray) -> np.ndarray:
-        return mfs_metric(x[0], x[1], x[2], x[3], convention=convention)
+        return mfs_metric(x[..., 0], x[..., 1], x[..., 2], x[..., 3], convention=convention)
     return metric

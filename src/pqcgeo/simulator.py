@@ -66,6 +66,8 @@ class GateSpec:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.angle, (bool, np.bool_)):  # math.isfinite reads True as 1
+            raise ValueError("gate angle must be a number, not bool")
         try:
             finite = math.isfinite(self.angle)
         except (TypeError, OverflowError):  # not a real number, or an integer beyond float

@@ -511,6 +511,16 @@ def test_parameters_beyond_the_float_range_are_refused(sign):
             fn(HEA, theta)
 
 
+def test_prepare_state_refuses_text_and_bool_parameters():
+    # the float conversion parsed "0.1" and read True as 1.0: the state at (0.1, 0, 0, 1)
+    for theta, got in ((["0.1", "0", "0", True], "'0.1'"), ([0.1, 0, 0, True], "True"),
+                       (np.array([False, False, False, True]), "False"),
+                       (np.array(["0.1", "0", "0", "1"]), "'0.1'")):
+        with pytest.raises(ValueError) as exc:
+            ansatz.prepare_state(HEA, theta)
+        assert str(exc.value) == f"parameters must be numbers, not text or bool: got {got}"
+
+
 @pytest.mark.parametrize("kind", ANSATZE)
 def test_angles_up_to_the_bound_give_finite_states_and_beyond_it_are_refused(kind):
     # runs under error::RuntimeWarning: 1e308 angles overflowed the phase sums

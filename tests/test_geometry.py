@@ -393,6 +393,111 @@ def test_stacked_stencil_raises_the_loops_conditioning_error(engine, theta):
     assert str(got.value) == str(ref.value)
 
 
+def _stacked(metric):
+    """The metric called once per stack, with the shape of each call logged."""
+    shapes = []
+
+    def stacked(x):
+        shapes.append(x.shape)
+        return metric(x)
+    return stacked, shapes
+
+
+@pytest.mark.parametrize("kind", ["shea", "qgan", "qgan-aug"])
+def test_stacked_curvature_is_bit_equal_to_the_per_point_path_on_fs_metrics(kind):
+    seed = SHEA_DRAW if kind == "shea" else 0
+    theta = ansatz.random_parameters(kind, np.random.default_rng(seed))
+    if kind == "qgan-aug":
+        # theta_1..theta_6 with the rest held: fancy indexing leaves the stack non-contiguous
+        idx = np.arange(6)
+
+        def metric(x):
+            full = np.broadcast_to(theta, x.shape[:-1] + theta.shape).copy()
+            full[..., idx] = x
+            return qgt.fs_metric(kind, full)[..., idx, :][..., :, idx]
+        points = np.stack([theta[idx], theta[idx] + 0.1])
+        assert not metric(points).flags.c_contiguous
+    else:
+        metric = lambda x: qgt.fs_metric(kind, x)
+        points = np.stack([theta, theta + 0.1])
+    n = points.shape[1]
+    counted, shapes = _stacked(metric)
+    r = geo.scalar_curvature_stack(counted, points)
+    assert shapes == [(2, 1 + 4 * n, 1 + 2 * n, n)]
+    assert r.tolist() == [geo.scalar_curvature_numeric(metric, p) for p in points]
+
+
+def test_scalar_curvature_stack_takes_a_two_dimensional_array_of_points():
+    flat = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))
+    assert geo.scalar_curvature_stack(flat, [[0.1, 0.2], [0.3, 0.4]]).tolist() == [0.0, 0.0]
+    for points in ([0.1, 0.2], [[[0.1, 0.2]]]):
+        with pytest.raises(ValueError, match=r"^expected a \(P, n\) array of points, got shape"):
+            geo.scalar_curvature_stack(flat, points)
+
+
+def _two_zeros(x):
+    """diag(1, 1e8 (x_0 (x_0 - FD_STEP/2))^2) at (..., 2) points. At x_0 = FD_STEP/2 + 1e-5
+    it is nearly singular at two Christoffel centres, the point and its x_0 - FD_STEP/2,
+    and the point's is the larger smallest singular value."""
+    y = 1e4 * x[..., 0] * (x[..., 0] - geo.FD_STEP / 2.0)  # a product: ** 2 rounds otherwise
+    g = np.zeros(x.shape[:-1] + (2, 2))
+    g[..., 0, 0], g[..., 1, 1] = 1.0, y * y
+    return g
+
+
+def test_stacked_curvature_raises_the_first_conditioning_error_by_point_then_loop_order():
+    point = np.array([geo.FD_STEP / 2.0 + 1e-5, 0.3])
+    messages = []
+    for bad in (point, [1e-6, 0.3]), ([1e-6, 0.3], point):
+        points = np.array([[0.5, 0.3], *bad])
+        with pytest.raises(geo.ConditioningError) as ref:
+            _reference_scalar_curvature(_two_zeros, points[1])
+        counted, shapes = _stacked(_two_zeros)
+        with pytest.raises(geo.ConditioningError) as got:
+            geo.scalar_curvature_stack(counted, points)
+        assert str(got.value) == str(ref.value) and len(shapes) == 1
+        messages.append(str(ref.value))
+    assert messages[0] != messages[1]
+    # the point's own value, though a later centre's is smaller
+    centre = point.copy()
+    centre[0] -= geo.FD_STEP / 2.0
+    own, later = _two_zeros(point)[1, 1], _two_zeros(centre)[1, 1]
+    assert later < own <= 1e-10 and messages[0].endswith(f" {float(own)!r}")
+
+
+def test_a_stack_reaching_the_pole_is_refused_with_its_first_plain_float_c():
+    metric = geo._mfs_field(geo.SIN_ON_DTHETA)
+    for first_bad, message in ((1.0, "got 1.0"), (1.0 - 1e-5, "got 1.0000900000000001")):
+        points = np.array([[0.5, 0.7, 1.1, 1.3], [first_bad, 0.7, 1.1, 1.3], [1.0, 0.7, 1.1, 1.3]])
+        with pytest.raises(SingularityError) as ref:
+            geo.scalar_curvature_numeric(metric, points[1])
+        with pytest.raises(SingularityError) as got:
+            geo.scalar_curvature_stack(metric, points)
+        assert str(got.value) == str(ref.value) == f"chart requires 0 <= C < 1, {message}"
+
+
+def test_mfs_metric_stacks_equal_its_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    x = rng.uniform(0.0, 1.0, (20000, 4)) * [1.0, 2 * np.pi, 2 * np.pi, 2 * np.pi]
+    # draws where an array's ** 2 differs from a numpy scalar's, which calls pow()
+    sin = np.sin(x[:, 3])
+    assert np.count_nonzero(sin ** 2 != np.array([s ** 2 for s in sin])) > 0
+    for conv in geo.CHART_CONVENTIONS:
+        stacked = geo.mfs_metric(x[:, 0], x[:, 1], x[:, 2], x[:, 3], convention=conv)
+        per_point = [geo.mfs_metric(*p, convention=conv) for p in x]
+        assert stacked.tobytes() == np.array(per_point).tobytes()
+
+
+def test_resolve_chart_convention_matches_its_per_point_loop():
+    # the loop it replaced: one scalar_curvature_numeric call per concurrence
+    expected = {}
+    for conv in geo.CHART_CONVENTIONS:
+        metric = lambda x: geo.mfs_metric(x[0], x[1], x[2], x[3], convention=conv)
+        expected[conv] = max(abs(geo.scalar_curvature_numeric(metric, np.array([c, 0.7, 1.1, 1.3]))
+                                 - geo.ricci_closed(c)) for c in np.arange(0.1, 0.91, 0.1))
+    assert geo.resolve_chart_convention() == (geo.SIN_ON_DTHETA, expected)
+
+
 def test_chart_convention_resolution():
     conv, devs = geo.resolve_chart_convention()
     assert conv == geo.SIN_ON_DTHETA

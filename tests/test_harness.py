@@ -1405,3 +1405,37 @@ def test_known_entry_deviation_matches_the_pass_through_construction(monkeypatch
     assert harness._known_entry_dev(ansatz.HEA, metrics[ansatz.HEA]) == hea
     assert harness._known_entry_dev(ansatz.LDCA, metrics[ansatz.LDCA]) == ldca
     assert f"constant entries dev {max(hea, ldca):.1e};" in detail
+
+
+def _chart_suite_per_point():
+    """validate's chart suite as it was: per-point metrics, one curvature call per point."""
+    s2 = lambda x: np.diag([1.0, np.sin(x[0]) ** 2])
+    dev_s2 = max(abs(geometry.scalar_curvature_numeric(s2, [th, 0.3]) - 2.0)
+                 for th in np.linspace(0.4, np.pi - 0.4, 20))
+    dev_flat = abs(geometry.scalar_curvature_numeric(lambda x: np.eye(4), [0.1, 0.2, 0.3, 0.4]))
+    devs = {}
+    for conv in geometry.CHART_CONVENTIONS:
+        mfs = lambda x: geometry.mfs_metric(x[0], x[1], x[2], x[3], convention=conv)
+        devs[conv] = max(abs(geometry.scalar_curvature_numeric(mfs, np.array([c, 0.7, 1.1, 1.3]))
+                             - geometry.ricci_closed(c)) for c in np.arange(0.1, 0.91, 0.1))
+    return dev_s2, dev_flat, devs
+
+
+def test_chart_suite_matches_its_per_point_version(monkeypatch):
+    dev_s2, dev_flat, devs = _chart_suite_per_point()
+    sphere = np.stack(np.broadcast_arrays(np.linspace(0.4, np.pi - 0.4, 20), 0.3), axis=-1)
+    r = geometry.scalar_curvature_stack(harness._round_sphere, sphere)
+    s2 = lambda x: np.diag([1.0, np.sin(x[0]) ** 2])
+    assert r.tolist() == [geometry.scalar_curvature_numeric(s2, p) for p in sphere]
+    assert float(np.abs(r - 2.0).max()) == dev_s2
+    assert geometry.resolve_chart_convention() == (geometry.SIN_ON_DTHETA, devs)
+    # every curvature goes through the stacked entry: the sphere sweep, the flat point, and one
+    # stack per convention
+    log = _call_log(monkeypatch, (geometry, "scalar_curvature_stack"),
+                    (geometry, "scalar_curvature_numeric"))
+    ok, detail = harness._suite_chart(np.random.default_rng(7))
+    assert [name for name, _ in log] == ["scalar_curvature_stack"] * 4
+    assert ok and detail == (
+        f"sphere dev {dev_s2:.1e}, flat dev {dev_flat:.1e}; resolved convention "
+        f"{geometry.SIN_ON_DTHETA} (deviations "
+        f"{{{', '.join(f'{k}: {v:.2e}' for k, v in devs.items())}}})")

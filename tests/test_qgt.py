@@ -72,6 +72,13 @@ def test_fs_metric_from_state_matches_inline_reference_bit_for_bit(kind):
         assert qgt.fs_metric_from_state(psi, jac, mask).tobytes() == expected.tobytes()
 
 
+def test_fs_metric_refuses_bool_and_text_parameters():
+    # the float conversion read True as 1.0 and parsed "0.1"
+    for theta in ([True, 0, 0, 0], [0, 0, 0, "0.1"]):
+        with pytest.raises(ValueError, match="^parameters must be numbers, not text or bool"):
+            qgt.fs_metric(HEA, theta)
+
+
 def test_mode_aliases():
     # each mode has one spelling; the aliases "diagonal" and "block_diagonal" were removed
     assert [qgt.canonical_mode(mode) for mode in qgt.METRIC_MODES] == ["dense", "block", "diag"]

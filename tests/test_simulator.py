@@ -169,3 +169,10 @@ def test_gate_spec_validation():
     for angle in (10**400, -10**400, "0.5", 1j):
         with pytest.raises(ValueError, match="gate angle must be finite"):
             sim.rotation("X", angle, 1)
+
+
+def test_rotation_refuses_a_bool_angle():
+    # math.isfinite read True as 1, so rotation("X", True, 1) stored angle=True
+    for angle in (True, np.False_):
+        with pytest.raises(ValueError, match="^gate angle must be a number, not bool$"):
+            sim.rotation("X", angle, 1)
