@@ -6,9 +6,9 @@ parameter is one scalar, the column axis one (n,) vector and each block of 32
 rows one (rows, 1) vector, so every sine and cosine is taken once per axis
 value and only the products span the block. It writes its value CSV one row at
 a time: a row whose bits equal an earlier row's is written from that row's
-text, and a distinct row formats each of its distinct values once, so the
-writer holds one row of Python objects plus the text of the rows still to be
-repeated. Its clip mask is written as one byte array.
+text, and a distinct row formats only the values missing from a fixed 0.5 MB
+table of recent texts keyed on bits, so the writer holds the table, one row and
+the text of the rows still to be repeated. Its clip mask is one byte array.
 A VQE run is run_vqe_experiment(kind, hamiltonian, opt, trials, out_dir) with
 a loaded vqe.Hamiltonian; its per-trial traces use the fixed column set
 
@@ -34,6 +34,7 @@ DEFAULT_TRIALS = 50
 DEFAULT_GRID = 201
 DEFAULT_CLIP = (-5.0, 10.0)
 _ROW_BLOCK = 32  # grid rows per closed-form call of a landscape scan
+_SLOT_BITS = 14  # the grid writer's table of value texts: 2**14 slots of 32 bytes
 
 
 def write_trace_csv(path: Path, trace: optimize.Trace) -> None:
@@ -163,10 +164,12 @@ def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
     """A float64 grid as CSV, each value as repr() gives it.
 
     A row whose bits equal an earlier row's is written from that row's text, which is
-    kept from its first occurrence to its last repeat; a distinct row formats each of its
-    distinct bit patterns once. The writer holds one row of Python objects plus the text
-    of the rows still to be repeated.
+    kept from its first occurrence to its last repeat. A distinct row formats only the
+    values missing from a fixed direct-mapped table of 2**14 recent texts keyed on bits
+    (0.5 MB); the writer holds the table, one row and the text of rows still to be repeated.
     """
+    if grid.dtype != np.float64:
+        raise ValueError(f"grid values must be float64, got {grid.dtype}")
     bits = grid.view(np.uint64)
     # pass 1: each row's earliest equal row, and the last repeat of each repeated row;
     # rows are equal by bits, so -0.0 and 0.0, or NaNs of either sign, stay apart
@@ -179,14 +182,28 @@ def _write_grid_csv(path: Path, grid: np.ndarray) -> None:
                 break
         else:
             candidates.append(i)
+    fib, shift = np.uint64(0x9E3779B97F4A7C15), np.uint64(64 - _SLOT_BITS)  # Fibonacci hashing
+    # every slot starts as 0.0, so its key and text agree; no float64 repr is longer
+    # than 24 characters ('-2.2250738585072014e-308')
+    slot_keys = np.zeros(1 << _SLOT_BITS, dtype=np.uint64)
+    slot_text = np.full(1 << _SLOT_BITS, b"0.0", dtype="S24")
+    line_bytes = np.full((bits.shape[1], 25), ord(","), dtype=np.uint8)
     text = {}
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
         for i, row in enumerate(bits):
             j = first[i]
             if j == i:
-                keys, inverse = np.unique(row, return_inverse=True)
-                words = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
-                line = ",".join(words[inverse].tolist()) + "\n"
+                slots = (row * fib) >> shift
+                words = slot_text[slots]
+                miss = slot_keys[slots] != row
+                if miss.any():
+                    keys, inverse = np.unique(row[miss], return_inverse=True)
+                    found = np.array([repr(v) for v in keys.view(np.float64).tolist()], "S24")
+                    words[miss] = found[inverse]
+                    key_slots = (keys * fib) >> shift
+                    slot_keys[key_slots], slot_text[key_slots] = keys, found
+                line_bytes[:, :24] = words.view(np.uint8).reshape(-1, 24)
+                line = line_bytes.tobytes().translate(None, b"\0")[:-1] + b"\n"  # NULs dropped
                 if i in last:
                     text[i] = line
             else:

@@ -238,6 +238,67 @@ def test_grid_writer_confirms_each_hash_match_by_its_bits(tmp_path, monkeypatch)
     assert len(hashed) == len(grid)
 
 
+def _count_reprs(monkeypatch):
+    """The values that harness formats, one entry per repr call."""
+    calls = []
+    monkeypatch.setattr(harness, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    return calls
+
+
+def _slot(value):
+    # the grid writer's table slot of a value: Fibonacci hashing of its bits
+    bits = int(np.float64(value).view(np.uint64))
+    return (bits * 0x9E3779B97F4A7C15 % 2**64) >> (64 - harness._SLOT_BITS)
+
+
+def test_grid_writer_refuses_a_grid_that_is_not_float64(tmp_path):
+    # read as uint64, the float32 pair 1.5, 2.5 was written as one value, 8.000001899898052
+    for grid in (np.array([[1.5, 2.5], [3.5, 4.5]], dtype=np.float32),
+                 np.arange(4).reshape(2, 2)):
+        with pytest.raises(ValueError) as err:
+            harness._write_grid_csv(tmp_path / "grid.csv", grid)
+        assert str(err.value) == f"grid values must be float64, got {grid.dtype}"
+        assert not (tmp_path / "grid.csv").exists()
+
+
+def test_grid_writer_matches_per_cell_reference_on_the_longest_reprs(tmp_path):
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e+308, -1.2345678901234568e-05]
+    positional = [-0.00012345678901234567, 0.30000000000000004, -123456789.01234567,
+                  -1234567890123456.8]
+    assert max(len(repr(v)) for v in longest) == 24
+    assert all(sum(ch.isdigit() for ch in repr(v).lstrip("-0.")) == 17 for v in positional)
+    rng = np.random.default_rng(25)
+    scaled = rng.uniform(-1.0, 1.0, 24) * 10.0 ** rng.integers(-4, 16, 24)  # 17 digits, positional
+    row = np.array(longest + positional + [0.0001, -0.0] + list(scaled))
+    _assert_writers_agree(tmp_path, np.array([row, row[::-1], rng.permutation(row), row]))
+
+
+def test_grid_writer_matches_per_cell_reference_on_values_that_share_a_slot(tmp_path,
+                                                                            monkeypatch):
+    # values on one slot of the writer's table evict each other, in one row and across rows
+    values = np.random.default_rng(23).uniform(-5.0, 10.0, 100_000).tolist()
+    slot = _slot(values[0])
+    a, b, c = [v for v in values if _slot(v) == slot][:3]
+    pick = np.random.default_rng(24).integers(0, 3, (40, 4))
+    grid = np.column_stack([np.array([a, b, c])[pick], np.arange(40.0)])  # every row distinct
+    calls = _count_reprs(monkeypatch)
+    _assert_writers_agree(tmp_path, grid)
+    assert calls.count(a) > 1  # a was evicted and formatted again
+
+
+def test_grid_writer_matches_per_cell_reference_with_more_values_than_slots(tmp_path):
+    # each row's values come back 30 rows later in another order, after 24,030 others
+    rng = np.random.default_rng(26)
+    first = rng.uniform(-5.0, 10.0, (30, 801))
+    assert first.size > 2**harness._SLOT_BITS
+    _assert_writers_agree(tmp_path, np.concatenate([first, rng.permuted(first, axis=1)]))
+
+
+def test_grid_writer_matches_per_cell_reference_on_a_random_801_grid(tmp_path):
+    # the grid of test_grid_writer_holds_one_row_of_python_objects
+    _assert_writers_agree(tmp_path, np.random.default_rng(3).uniform(-5.0, 10.0, (801, 801)))
+
+
 def _assert_mask_writer_agrees(tmp_path, mask):
     harness._write_mask_csv(tmp_path / "new.csv", mask)
     _reference_write_grid_csv(tmp_path / "ref.csv", mask.astype(int))
@@ -410,6 +471,17 @@ def test_grid_writer_on_the_shea_pole_scan_holds_under_1_mb(tmp_path):
                                           clip=(-5.0, 8.0))
     assert len(np.unique(values.view(np.uint64), axis=0)) < len(values)  # rows repeat
     assert _traced_peak_mb(harness._write_grid_csv, tmp_path / "pole.csv", values) < 1.0
+
+
+def test_grid_writer_formats_few_values_of_the_shea_pole_scan(tmp_path, monkeypatch):
+    # the landscape benchmark's pole grid: formatting each distinct value once per distinct
+    # row took 177,985 repr calls for its 1,981 distinct values
+    fixed = np.array([HALF_PI, HALF_PI, 0.0, 0.0, 0.0, 0.0])
+    values, _, _ = harness.scan_landscape("shea", (2, 3), fixed_theta=fixed, resolution=801,
+                                          clip=(-5.0, 8.0))
+    calls = _count_reprs(monkeypatch)
+    harness._write_grid_csv(tmp_path / "pole.csv", values)
+    assert len(np.unique(values.view(np.uint64))) <= len(calls) < 177_985 / 10
 
 
 def test_landscape_scan_memory_is_bounded_by_its_output(tmp_path):
