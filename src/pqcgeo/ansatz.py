@@ -43,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import ricci_closed
+from .simulator import _real_array
 
 HEA = "hea"
 LDCA = "ldca"
@@ -77,24 +78,16 @@ def param_count(kind: str) -> int:
 
 
 def _check_theta(kind: str, theta) -> np.ndarray:
-    """theta as a float array of shape (..., m), every value finite and at most THETA_MAX;
-    text and bool are refused, which the float conversion would parse or read as 1.0."""
-    too_large = f"parameters must be finite and at most {THETA_MAX:.2g} in size"
-    if not isinstance(theta, np.ndarray) or theta.dtype.kind not in "fiu":
-        bad = [v for v in np.asarray(theta, dtype=object).flat
-               if isinstance(v, (bool, np.bool_, str, bytes))]
-        if bad:
-            v = bad[0].item() if isinstance(bad[0], np.generic) else bad[0]
-            raise ValueError(f"parameters must be numbers, not text or bool: got {v!r}")
-    try:
-        theta = np.asarray(theta, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(too_large) from None
+    """theta as a float array of shape (..., m), every value a real number
+    (simulator._real) that is finite and at most THETA_MAX in size."""
+    theta = _real_array(theta, lambda v: "parameters must be " + (
+        "numbers, not text or bool" if isinstance(v, (bool, str, bytes)) else "real numbers")
+        + f": got {v!r}")
     m = _N_PARAMS[kind]
     if theta.shape[-1:] != (m,):
         raise ValueError(f"{kind} takes {m} parameters, got shape {theta.shape}")
     if not np.all(np.abs(theta) <= THETA_MAX):
-        raise ValueError(too_large)
+        raise ValueError(f"parameters must be finite and at most {THETA_MAX:.2g} in size")
     return theta
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simulator import require_normalized
+from .simulator import _real_array, require_normalized
 
 # chart conventions for the base metric, named by where the sin^2(Theta)
 # weight sits in the (Phi, Theta) sector
@@ -251,8 +251,8 @@ def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarra
 
 
 def ricci_closed(c) -> np.ndarray | float:
-    """Universal closed-form scalar curvature R(C) = 2 (6 C^2 - 5)/(C^2 - 1)."""
-    c = np.asarray(c, dtype=float)
+    """Universal closed-form scalar curvature R(C) = 2 (6 C^2 - 5)/(C^2 - 1), C real."""
+    c = _real_array(c, lambda v: f"concurrence must be a real number, got {v!r}")
     if np.any(np.abs(c) >= 1.0):
         raise SingularityError("scalar curvature diverges at |C| = 1")
     r = 2.0 * (6.0 * c * c - 5.0) / (c * c - 1.0)

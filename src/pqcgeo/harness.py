@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import ansatz, geometry, optimize, qgt, vqe
+from .simulator import _real
 
 DEFAULT_TRIALS = 50
 DEFAULT_GRID = 201
@@ -122,14 +122,10 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     if not (a < m and b < m) or a == b:
         raise ValueError(f"{message}, got {scan_indices!r}")
     resolution = optimize._integer(resolution, 2, "resolution must be an integer of at least 2")
-    if len(clip) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                 for v in clip):
+    bounds = [_real(v) for v in clip]
+    if len(bounds) != 2 or None in bounds:
         raise ValueError(f"clip bounds must be two real numbers, got {clip!r}")
-    try:
-        lo, hi = float(clip[0]), float(clip[1])
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"clip bounds must be finite with lo < hi, got {clip[0]!r} and "
-                         f"{clip[1]!r}") from None
+    lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"clip bounds must be finite with lo < hi, got {lo!r} and {hi!r}")
     base = np.zeros(m) if fixed_theta is None else fixed_theta

@@ -9,13 +9,13 @@ phases, which is why gauge parameters produce exactly-zero rows.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from . import ansatz
+from .simulator import _real
 
 DENSE = "dense"
 BLOCK = "block"
@@ -24,16 +24,9 @@ METRIC_MODES = (DENSE, BLOCK, DIAG)
 
 
 def _positive_float(value, name: str, finite: bool = True) -> float:
-    """float(value) for a real number above 0 that is not bool, and finite unless
-    finite is False; ValueError otherwise. An integer beyond the float range reads
-    as the infinity of its sign."""
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf if value > 0 else -math.inf
-    if not (0 < number and (number < math.inf or not finite)):
+    """float(value) for a real number above 0, finite unless finite is False; else ValueError."""
+    number = _real(value)
+    if number is None or not (0 < number and (number < math.inf or not finite)):
         raise ValueError(f"{name} must be positive{' and finite' if finite else ''}, "
                          f"got {value!r}")
     return number

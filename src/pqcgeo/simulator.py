@@ -13,6 +13,7 @@ Gate conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,36 @@ def require_normalized(state: np.ndarray) -> np.ndarray:
     return state
 
 
+def _real(value) -> float | None:
+    """float(value) for a real number (numbers.Real, not bool), else None; an integer
+    beyond the float range reads as the infinity of its sign."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _real_array(values, refusal) -> np.ndarray:
+    """values as a float array, each element read by _real (a float or int ndarray in one
+    call); the first element v that is not a real number raises ValueError(refusal(v))."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=object)
+    floats = [_real(v) for v in values.flat]
+    if None in floats:
+        v = values.flat[floats.index(None)]
+        raise ValueError(refusal(v.item() if isinstance(v, np.generic) else v))
+    return np.array(floats).reshape(values.shape)
+
+
 @dataclass(frozen=True)
 class GateSpec:
     """A gate from the fixed two-qubit gate set.
 
     generator: 'X'/'Y'/'Z' (with one target qubit), 'XX'/'YY'/'ZZ'/'XY'/'YX',
-    'ISWAP_DAG', or 'CPHASE'. Angles are radians.
+    'ISWAP_DAG', or 'CPHASE'. Angles are radians, stored as float.
     """
 
     generator: str
@@ -66,14 +91,11 @@ class GateSpec:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.angle, (bool, np.bool_)):  # math.isfinite reads True as 1
-            raise ValueError("gate angle must be a number, not bool")
-        try:
-            finite = math.isfinite(self.angle)
-        except (TypeError, OverflowError):  # not a real number, or an integer beyond float
-            finite = False
-        if not finite:
-            raise ValueError("gate angle must be finite")
+        angle = _real(self.angle)
+        if angle is None or not math.isfinite(angle):
+            raise ValueError("gate angle must be a number, not bool" if isinstance(
+                self.angle, (bool, np.bool_)) else "gate angle must be finite")
+        object.__setattr__(self, "angle", angle)
         if self.generator in SINGLE_QUBIT_GENERATORS:
             if self.qubits not in ((1,), (2,)):
                 raise ValueError(f"single-qubit gate needs qubits (1,) or (2,), got {self.qubits}")
@@ -86,11 +108,7 @@ class GateSpec:
 
 def rotation(generator: str, angle: float, qubit: int | None = None) -> GateSpec:
     """R_P(angle) on the given qubit (single-qubit P) or on both (two-qubit P)."""
-    if generator in SINGLE_QUBIT_GENERATORS:
-        if qubit not in (1, 2):
-            raise ValueError("single-qubit rotation needs qubit 1 or 2")
-        return GateSpec(generator, angle, (qubit,))
-    return GateSpec(generator, angle, (1, 2))
+    return GateSpec(generator, angle, (qubit,) if generator in SINGLE_QUBIT_GENERATORS else (1, 2))
 
 
 def iswap_dag(angle: float) -> GateSpec:
@@ -159,7 +177,10 @@ class PauliObservable:
     def matrix(self) -> np.ndarray:
         m = np.zeros((4, 4), dtype=complex)
         for coeff, label in self.terms:
-            m += float(coeff) * parse_pauli_label(label)
+            number = _real(coeff)
+            if number is None or not math.isfinite(number):
+                raise ValueError(f"Pauli coefficients must be finite real numbers, got {coeff!r}")
+            m += number * parse_pauli_label(label)
         return m
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import ansatz
 from .geometry import concurrence
-from .simulator import PauliObservable, expectation, require_normalized
+from .simulator import PauliObservable, _real, expectation, require_normalized
 
 HAMILTONIAN_TERMS = ("I", "Z1", "Z2", "Z1Z2", "X1X2", "Y1Y2")
 
@@ -45,12 +44,9 @@ class Hamiltonian:
     def __post_init__(self):
         if len(self.nu) != 6:
             raise ValueError(f"expected 6 coefficients, got {len(self.nu)}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.nu):
+        nu = tuple(map(_real, self.nu))
+        if None in nu:
             raise ValueError("Hamiltonian coefficients must be real numbers")
-        try:
-            nu = tuple(float(v) for v in self.nu)
-        except OverflowError as exc:  # an integer beyond the float range
-            raise ValueError("Hamiltonian coefficients must be finite") from exc
         if not all(math.isfinite(v) for v in nu):
             raise ValueError("Hamiltonian coefficients must be finite")
         if max(abs(v) for v in nu) > NU_MAX:

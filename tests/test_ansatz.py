@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -519,6 +520,18 @@ def test_prepare_state_refuses_text_and_bool_parameters():
         with pytest.raises(ValueError) as exc:
             ansatz.prepare_state(HEA, theta)
         assert str(exc.value) == f"parameters must be numbers, not text or bool: got {got}"
+
+
+def test_complex_parameters_are_refused_without_a_warning():
+    # [1j, 0, 0, 0] raised TypeError; the other two gave the state at theta_1 = 0.5 with
+    # only a ComplexWarning
+    for theta, got in (([1j, 0, 0, 0], "1j"), ([np.complex128(0.5 + 2j), 0, 0, 0], "(0.5+2j)"),
+                       (np.array([0.5 + 2j, 0, 0, 0]), "(0.5+2j)")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                ansatz.prepare_state(HEA, theta)
+        assert str(exc.value) == f"parameters must be real numbers: got {got}"
 
 
 @pytest.mark.parametrize("kind", ANSATZE)

@@ -518,6 +518,16 @@ def test_ricci_closed_singularity():
         geo.ricci_closed(1.0)
 
 
+def test_ricci_closed_refuses_what_is_not_a_real_number():
+    # "0.5" gave 9.333..., [0.5, "0.2"] was parsed and 0.5 + 1j raised TypeError
+    for c, got in (("0.5", "'0.5'"), ([0.5, "0.2"], "'0.2'"), (0.5 + 1j, "(0.5+1j)")):
+        with pytest.raises(ValueError) as exc:
+            geo.ricci_closed(c)
+        assert str(exc.value) == f"concurrence must be a real number, got {got}"
+    assert (geo.ricci_closed([0.5, np.float32(0.25)]).tolist()
+            == geo.ricci_closed([0.5, 0.25]).tolist())
+
+
 def test_partial_fraction_identity():
     s = np.linspace(-0.99, 0.99, 991)
     lhs = 12 + 1 / (s - 1) - 1 / (s + 1)

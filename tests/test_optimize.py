@@ -112,6 +112,12 @@ def test_run_optimization_refuses_a_start_beyond_the_float_range(sign):
         run_optimization("hea", vqe.load_bundled("entangled"), [0, 0, 0, sign * 10**400], _cfg())
 
 
+def test_run_optimization_refuses_a_complex_start():
+    # np.array(theta0, dtype=float) raised TypeError
+    with pytest.raises(ValueError, match="^parameters must be real numbers: got 1j$"):
+        run_optimization("hea", vqe.load_bundled("entangled"), [1j, 0, 0, 0], _cfg())
+
+
 def test_run_optimization_immediate_stop_with_infinite_tol():
     h = vqe.load_bundled("entangled")
     cfg = _cfg(tol=np.inf, max_steps=200)

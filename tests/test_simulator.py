@@ -1,3 +1,6 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -176,3 +179,39 @@ def test_rotation_refuses_a_bool_angle():
     for angle in (True, np.False_):
         with pytest.raises(ValueError, match="^gate angle must be a number, not bool$"):
             sim.rotation("X", angle, 1)
+
+
+def test_rotation_refuses_a_complex_angle_without_a_warning():
+    # math.isfinite dropped the imaginary part with a ComplexWarning and the complex angle
+    # was stored, so gate_unitary returned a matrix that is not unitary
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^gate angle must be finite$"):
+            sim.rotation("X", np.complex128(0.5 + 2j), 1)
+
+
+def test_gate_angles_are_stored_as_float():
+    # Fraction(1, 3) was stored and np.cos raised TypeError on it in gate_unitary
+    gate = sim.rotation("X", Fraction(1, 3), 1)
+    assert type(gate.angle) is float and gate.angle == 1 / 3
+    assert np.array_equal(sim.gate_unitary(gate), sim.gate_unitary(sim.rotation("X", 1 / 3, 1)))
+    # np.float32(0.3) built its gate in float32: 4.4e-9 from the float64 gate
+    gate = sim.rotation("X", np.float32(0.3), 1)
+    assert type(gate.angle) is float and gate.angle == float(np.float32(0.3))
+    u = sim.gate_unitary(gate)
+    assert u.dtype == complex
+    assert np.array_equal(u, sim.gate_unitary(sim.rotation("X", float(np.float32(0.3)), 1)))
+    assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-15
+
+
+@pytest.mark.parametrize("coeff", [" 0.5", True, np.complex128(0.5 + 1j), 10**400, np.nan],
+                         ids=["text", "bool", "complex", "10**400", "nan"])
+def test_pauli_coefficients_refuse_what_is_not_a_finite_real_number(coeff):
+    # float() parsed " 0.5", read True as 1.0 and dropped the imaginary part of the complex;
+    # it raised OverflowError on 10**400, and NaN gave a NaN matrix
+    obs = sim.PauliObservable(((coeff, "Z1"), (0.25, "X1X2")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^Pauli coefficients must be finite real numbers, got "):
+            sim.expectation(sim.basis_state("00"), obs)
