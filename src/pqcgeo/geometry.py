@@ -233,10 +233,12 @@ def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarra
     curvature reproduces ricci_closed (see resolve_chart_convention).
     Broadcasts over array coordinates to (..., 4, 4), each metric equal bit for
     bit to its own scalar call; a C outside [0, 1) is refused, the first in C order.
+    Coordinates are read by the one real-number rule (simulator._real_array).
     """
     if convention not in CHART_CONVENTIONS:
         raise ValueError(f"unknown chart convention {convention!r}")
-    c = np.asarray(c)
+    c, chi, phi, theta = (_real_array(x, lambda v: f"chart coordinates must be real numbers, "
+                                          f"got {v!r}") for x in (c, chi, phi, theta))
     bad = c[~((0.0 <= c) & (c < 1.0))]
     if bad.size:
         raise SingularityError(f"chart requires 0 <= C < 1, got {float(bad[0])!r}")
@@ -251,9 +253,15 @@ def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarra
 
 
 def ricci_closed(c) -> np.ndarray | float:
-    """Universal closed-form scalar curvature R(C) = 2 (6 C^2 - 5)/(C^2 - 1), C real."""
+    """Universal closed-form scalar curvature R(C) = 2 (6 C^2 - 5)/(C^2 - 1), C real.
+
+    A value that is not a real number, NaN included, raises ValueError; |C| >= 1 raises
+    SingularityError. The first refused value in C order decides which."""
     c = _real_array(c, lambda v: f"concurrence must be a real number, got {v!r}")
-    if np.any(np.abs(c) >= 1.0):
+    ok = np.abs(c) < 1.0  # false on NaN as on the pole
+    if not ok.all():
+        if np.isnan(c[~ok].flat[0]):
+            raise ValueError("concurrence must be a real number, got nan")
         raise SingularityError("scalar curvature diverges at |C| = 1")
     r = 2.0 * (6.0 * c * c - 5.0) / (c * c - 1.0)
     return float(r) if np.ndim(r) == 0 else r
@@ -326,7 +334,7 @@ def scalar_curvature_stack(metric: StackedMetricFn, points) -> np.ndarray:
     scalar_curvature_numeric at each point, bit for bit, when the metric's rows equal its
     per-point calls bit for bit. Returns a (P,) array.
     """
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, lambda v: f"points must be real numbers, got {v!r}")
     if points.ndim != 2:
         raise ValueError(f"expected a (P, n) array of points, got shape {points.shape}")
     n = points.shape[-1]

@@ -50,9 +50,12 @@ def write_trace_csv(path: Path, trace: optimize.Trace) -> None:
 def summarize(traces: list[optimize.Trace], config: optimize.OptConfig) -> dict:
     n_steps = config.max_steps
     summary: dict = {"steps": list(range(n_steps + 1))}
+    series = np.empty((len(traces), n_steps + 1))
     for key in ("energy_error", "concurrence", "ricci"):
-        series = np.array([np.pad(getattr(t, key), (0, n_steps + 1 - len(t)), mode="edge")
-                           for t in traces])
+        for row, t in zip(series, traces):  # a short trace carries its last value forward
+            values = getattr(t, key)
+            row[:len(values)] = values
+            row[len(values):] = values[-1]
         summary[f"{key}_mean"] = series.mean(axis=0).tolist()
         summary[f"{key}_std"] = series.std(axis=0).tolist()
     stt = [optimize.steps_to_threshold(t) for t in traces]

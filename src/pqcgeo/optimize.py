@@ -85,6 +85,9 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     |E_t - E_{t-1}| < tol, or at max_steps; otherwise it moves to theta - eta * d. d is the
     gradient, and under QNG g^+ times it, except on rows whose inverse metric g^+ is all
     zero (no usable spectrum): those take the gradient and are marked in qng_fallback.
+    g^+ comes from qgt._invert, the core of invert_metric without its input checks: the
+    metric fs_metric_from_state builds is finite and exactly symmetric (IEEE addition
+    commutes), so the checks would refuse nothing and re-symmetrizing would change no bit.
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
@@ -103,16 +106,20 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
             break
         direction = grad
         if config.optimizer == QNG:
-            ginv = qgt.invert_metric(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
+            ginv = qgt._invert(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
             fallback = ~ginv.any(axis=(-2, -1))
-            direction = np.where(fallback[:, None], grad, (ginv @ grad[..., None])[..., 0])
+            direction = (ginv @ grad[..., None])[..., 0]
+            if fallback.any():
+                direction = np.where(fallback[:, None], grad, direction)
         with np.errstate(over="ignore"):  # refused below, naming the learning rate
-            new = theta - config.learning_rate * direction
-        if not np.abs(new).max() <= ansatz.THETA_MAX:  # also refuses NaN
+            theta = theta - config.learning_rate * direction
+        if not np.abs(theta).max() <= ansatz.THETA_MAX:  # also refuses NaN
             raise ValueError(f"learning rate {config.learning_rate!r} takes the parameters beyond "
                              f"{ansatz.THETA_MAX:.2g} in size at step {step + 1}")
-        active, theta, e_prev, fallback = (active[running], new[running], e[running],
-                                           fallback[running])
+        e_prev = e
+        if not running.all():
+            active, theta, e_prev, fallback = (active[running], theta[running], e[running],
+                                               fallback[running])
     rows, theta, psi, e, grad, fallback = map(np.concatenate, zip(*steps))
     c = concurrence(psi)  # the columns no update reads, derived once over all row-steps
     columns = {"theta": theta, "energy": e, "energy_error": e - ground.energy,

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import ansatz
-from .simulator import _real
+from .simulator import _real, _real_array
 
 DENSE = "dense"
 BLOCK = "block"
@@ -107,10 +107,15 @@ def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> n
 
     PseudoInverse: eigendecompose, invert eigenvalues above rcond * lambda_max,
     zero the rest; a metric with no eigenvalue above the cutoff gets the zero
-    matrix as its inverse. Tikhonov: plain (g + epsilon I)^-1. A metric with a
-    NaN or infinite entry raises ValueError.
+    matrix as its inverse. Tikhonov: plain (g + epsilon I)^-1. Entries are read
+    by the one real-number rule (simulator._real_array): text, bool and complex
+    entries raise ValueError, and so does a NaN or infinite entry.
+
+    This checked entry point symmetrizes g and hands it to _invert. The optimizer
+    calls _invert directly on the metrics fs_metric_from_state built: those are
+    finite and exactly symmetric, so symmetrizing them again changes no bit.
     """
-    g = np.asarray(g, dtype=float)
+    g = _real_array(g, lambda v: f"metric entries must be real numbers, got {v!r}")
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError("metric must be a square matrix")
     if not np.isfinite(g).all():
@@ -118,7 +123,11 @@ def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> n
     g_t = g.swapaxes(-1, -2)
     if np.abs(g - g_t).max() > 1e-10:
         raise ValueError("metric must be symmetric")
-    g = 0.5 * (g + g_t)
+    return _invert(0.5 * (g + g_t), policy)
+
+
+def _invert(g: np.ndarray, policy: InversionPolicy) -> np.ndarray:
+    """invert_metric of finite, exactly symmetric float metrics, unchecked."""
     if isinstance(policy, Tikhonov):
         inv = np.linalg.inv(g + policy.epsilon * np.eye(g.shape[-1]))
     else:

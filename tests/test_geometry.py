@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -526,6 +528,42 @@ def test_ricci_closed_refuses_what_is_not_a_real_number():
         assert str(exc.value) == f"concurrence must be a real number, got {got}"
     assert (geo.ricci_closed([0.5, np.float32(0.25)]).tolist()
             == geo.ricci_closed([0.5, 0.25]).tolist())
+
+
+def test_ricci_closed_refuses_nan_and_keeps_the_pole_error():
+    # NaN, alone or as an entry, went through as NaN: |NaN| >= 1 is false
+    for c in (np.nan, [0.5, np.nan], np.array([[0.1, np.nan], [0.2, 0.3]])):
+        with pytest.raises(ValueError, match="^concurrence must be a real number, got nan$") as exc:
+            geo.ricci_closed(c)
+        assert type(exc.value) is ValueError
+    with pytest.raises(SingularityError):
+        geo.ricci_closed([0.5, -1.0, np.nan])  # the first refused value decides
+    with pytest.raises(ValueError, match="got nan"):
+        geo.ricci_closed([np.nan, 1.0])
+
+
+def test_chart_metric_and_stacked_curvature_refuse_values_that_are_not_real_numbers():
+    # text points were parsed (R = 9.33), a text C raised numpy's UFuncTypeError and a
+    # complex C gave a metric with ComplexWarnings
+    cases = [
+        (lambda: geo.scalar_curvature_stack(geo._mfs_field(geo.SIN_ON_DTHETA),
+                                            [["0.5", "0.7", "1.1", "1.3"]]),
+         "points must be real numbers, got '0.5'"),
+        (lambda: geo.mfs_metric("0.5", 0.7, 1.1, 1.3), "chart coordinates must be real numbers, "
+                                                       "got '0.5'"),
+        (lambda: geo.mfs_metric(0.5 + 0.2j, 0.7, 1.1, 1.3),
+         "chart coordinates must be real numbers, got (0.5+0.2j)"),
+        (lambda: geo.mfs_metric(0.5, 0.7, 1.1, True), "chart coordinates must be real numbers, "
+                                                      "got True"),
+    ]
+    for call, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                call()
+        assert type(exc.value) is ValueError and str(exc.value) == message
+    x = np.array([0.5, 0.7, 1.1, 1.3])
+    assert np.array_equal(geo.mfs_metric(*x.tolist()), geo.mfs_metric(*x))
 
 
 def test_partial_fraction_identity():

@@ -222,6 +222,20 @@ def test_qng_fallback_on_fully_degenerate_metric(monkeypatch):
     assert np.array_equal(trace.theta, gd_trace.theta)
 
 
+@pytest.mark.parametrize("inversion", [qgt.PseudoInverse(), qgt.Tikhonov()],
+                         ids=["pinv", "tikhonov"])
+def test_qng_runs_invert_their_metrics_without_the_checked_entry_point(monkeypatch, inversion):
+    # the engine's metrics are finite and exactly symmetric: it calls the core directly
+    def refused(*args, **kwargs):
+        raise AssertionError("the engine called qgt.invert_metric")
+
+    monkeypatch.setattr(qgt, "invert_metric", refused)
+    h = vqe.load_bundled("entangled")
+    cfg = _cfg(optimizer="qng", max_steps=5, inversion=inversion)
+    assert len(run_optimization("qgan", h, optimize.initial_parameters("qgan", cfg, 0), cfg)) == 6
+    assert [len(t) for t in optimize.run_trials("ldca", h, cfg, 3)] == [6, 6, 6]
+
+
 def test_initial_parameters_seeded_and_split():
     cfg = _cfg(seed=123)
     a = optimize.initial_parameters("qgan", cfg, 0)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -196,6 +197,20 @@ def test_invert_metric_refuses_non_finite_metrics(policy, bad):
         qgt.invert_metric(g, policy)
     with pytest.raises(ValueError, match="finite"):
         qgt.invert_metric(g[1], policy)
+
+
+@pytest.mark.parametrize("g,got", [
+    ([["2", "0"], ["0", "1"]], "'2'"),  # was parsed as diag(2, 1)
+    (np.eye(2, dtype=bool), "True"),  # was read as the identity
+    (np.array([[2 + 1j, 0], [0, 1]]), "(2+1j)"),  # dropped 1j with a ComplexWarning
+], ids=["text", "bool array", "complex array"])
+def test_invert_metric_refuses_entries_that_are_not_real_numbers(g, got):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            qgt.invert_metric(g)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"metric entries must be real numbers, got {got}"
 
 
 def test_invert_metric_result_symmetric():

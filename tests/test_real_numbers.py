@@ -66,8 +66,9 @@ def test_every_site_refuses_a_value_that_is_not_a_real_number(site, value):
     assert type(exc.value) is ValueError
 
 
-# R(C) has no finiteness check: it takes NaN to NaN, and refuses +-inf as on its pole
-@pytest.mark.parametrize("site,value", _cases(BEYOND, [s for s in SITES if s != "concurrence"]))
+# R(C) refuses NaN, and +-inf as on its pole (SingularityError)
+@pytest.mark.parametrize("site,value", _cases(BEYOND, [s for s in SITES if s != "concurrence"])
+                         + _cases({"nan": math.nan}, ["concurrence"]))
 def test_every_site_refuses_nan_and_integers_beyond_the_float_range(site, value):
     if site == "tol" and value == 10**400:  # read as inf, like tol = inf
         assert _read(site, value) == math.inf
