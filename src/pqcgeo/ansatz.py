@@ -237,15 +237,24 @@ _STATE_JAC = {
 
 
 def _evaluate(kind: str, theta, with_jac: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The checked entry point of the maps: any (..., m) parameters, through _check_theta."""
     kind = resolve_kind(kind)
     t = _check_theta(kind, theta)
     lead, m = t.shape[:-1], t.shape[-1]
     # the maps see (B, m) rows only: numpy scalars round complex products otherwise
-    rows = t.reshape(-1, m)
-    psi = np.zeros((len(rows), 4), dtype=complex)
-    jac = np.zeros((len(rows), 4, m), dtype=complex) if with_jac else None
-    _STATE_JAC[kind](rows, psi, jac)
+    psi, jac = _evaluate_rows(kind, t.reshape(-1, m), with_jac)
     return psi.reshape(lead + (4,)), None if jac is None else jac.reshape(lead + (4, m))
+
+
+def _evaluate_rows(kind: str, rows: np.ndarray,
+                   with_jac: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (B, 4) states and (B, 4, m) Jacobians of a resolved family at (B, m) float rows
+    that _check_theta would pass, unchecked; the same bits as through _evaluate. The
+    optimizer calls it directly: it checks theta0 once and bounds every update itself."""
+    psi = np.zeros((len(rows), 4), dtype=complex)
+    jac = np.zeros((len(rows), 4, rows.shape[-1]), dtype=complex) if with_jac else None
+    _STATE_JAC[kind](rows, psi, jac)
+    return psi, jac
 
 
 def prepare_state(kind: str, theta) -> np.ndarray:

@@ -315,13 +315,18 @@ def _christoffel_stack(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (gam + np.swapaxes(gam, -2, -1)), ginv
 
 
+def _points(values) -> np.ndarray:
+    """Chart points as a float array, by the one real-number rule (simulator._real_array)."""
+    return _real_array(values, lambda v: f"points must be real numbers, got {v!r}")
+
+
 def christoffel(metric: MetricFn, point) -> np.ndarray:
     """Christoffel symbols Gamma^c_ab = 1/2 g^{cd} (g_da,b + g_db,a - g_ab,d).
 
     Partial derivatives of the metric are central differences of step
     FD_STEP. The returned array is indexed [c, a, b] and is symmetric in (a, b).
     """
-    stencil = _shifted(np.asarray(point, dtype=float), FD_STEP)
+    stencil = _shifted(_points(point), FD_STEP)
     return _christoffel_stack(_per_point(metric)(stencil))[0]
 
 
@@ -334,7 +339,7 @@ def scalar_curvature_stack(metric: StackedMetricFn, points) -> np.ndarray:
     scalar_curvature_numeric at each point, bit for bit, when the metric's rows equal its
     per-point calls bit for bit. Returns a (P,) array.
     """
-    points = _real_array(points, lambda v: f"points must be real numbers, got {v!r}")
+    points = _points(points)
     if points.ndim != 2:
         raise ValueError(f"expected a (P, n) array of points, got shape {points.shape}")
     n = points.shape[-1]
@@ -361,8 +366,7 @@ def scalar_curvature_numeric(metric: MetricFn, point) -> float:
     per-point metric called at each stencil point in that stencil's order: the 1 + 4n
     Christoffel centres, the point first, each followed by its 2n neighbours.
     """
-    point = np.asarray(point, dtype=float)
-    return float(scalar_curvature_stack(_per_point(metric), point[None])[0])
+    return float(scalar_curvature_stack(_per_point(metric), _points(point)[None])[0])
 
 
 def resolve_chart_convention(tol: float = 1e-3) -> tuple[str, dict]:

@@ -85,9 +85,16 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     |E_t - E_{t-1}| < tol, or at max_steps; otherwise it moves to theta - eta * d. d is the
     gradient, and under QNG g^+ times it, except on rows whose inverse metric g^+ is all
     zero (no usable spectrum): those take the gradient and are marked in qng_fallback.
-    g^+ comes from qgt._invert, the core of invert_metric without its input checks: the
-    metric fs_metric_from_state builds is finite and exactly symmetric (IEEE addition
-    commutes), so the checks would refuse nothing and re-symmetrizing would change no bit.
+
+    Each step does only the work its checks and metric mode need, with the same bits:
+    - the ansatz comes from the unchecked core ansatz._evaluate_rows: theta0 was checked
+      once, and every update is bounded below;
+    - g^+ comes from qgt._invert, the core of invert_metric without its input checks: the
+      metric fs_metric_from_state builds is finite and exactly symmetric (IEEE addition
+      commutes), so the checks would refuse nothing and re-symmetrizing would change no bit;
+    - under diag, g^+ is the diagonal w^+ of qgt._diag_inverse and d = w^+ grad + 0.0. The
+      matrix product sums zero terms into each entry, so it gives +0.0 where w^+ grad is
+      -0.0; the + 0.0 does the same, and so a -0.0 angle keeps its sign as before.
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
@@ -96,7 +103,7 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     e_prev = np.full(len(theta), np.nan)  # no energy change is below tol at step 0
     fallback = np.zeros(len(theta), dtype=bool)
     for step in range(config.max_steps + 1):
-        psi, jac = ansatz.state_and_jacobian(kind, theta)
+        psi, jac = ansatz._evaluate_rows(kind, theta)
         e, grad = energy_and_gradient(hamiltonian, psi, jac)
         if not np.all(np.isfinite(e)):
             raise RuntimeError(f"non-finite energy {e[~np.isfinite(e)].item(0)} at step {step}")
@@ -106,9 +113,14 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
             break
         direction = grad
         if config.optimizer == QNG:
-            ginv = qgt._invert(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
-            fallback = ~ginv.any(axis=(-2, -1))
-            direction = (ginv @ grad[..., None])[..., 0]
+            if config.metric_mode == qgt.DIAG:
+                winv = qgt._diag_inverse(psi, jac, config.inversion)
+                fallback = ~winv.any(axis=-1)
+                direction = winv * grad + 0.0
+            else:
+                ginv = qgt._invert(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
+                fallback = ~ginv.any(axis=(-2, -1))
+                direction = (ginv @ grad[..., None])[..., 0]
             if fallback.any():
                 direction = np.where(fallback[:, None], grad, direction)
         with np.errstate(over="ignore"):  # refused below, naming the learning rate

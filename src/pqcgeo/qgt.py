@@ -132,7 +132,28 @@ def _invert(g: np.ndarray, policy: InversionPolicy) -> np.ndarray:
         inv = np.linalg.inv(g + policy.epsilon * np.eye(g.shape[-1]))
     else:
         w, v = np.linalg.eigh(g)
-        keep = w > policy.rcond * np.abs(w).max(axis=-1, keepdims=True)
-        winv = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
-        inv = (v * winv[..., None, :]) @ v.swapaxes(-1, -2)
+        inv = (v * _spectral_inverse(w, policy.rcond)[..., None, :]) @ v.swapaxes(-1, -2)
     return 0.5 * (inv + inv.swapaxes(-1, -2))
+
+
+def _spectral_inverse(w: np.ndarray, rcond: float) -> np.ndarray:
+    """1 / w on the eigenvalues w (..., m) above rcond * max |w| of their row, 0 elsewhere."""
+    keep = w > rcond * np.abs(w).max(axis=-1, keepdims=True)
+    return np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+
+
+def _diag_inverse(psi: np.ndarray, jac: np.ndarray, policy: InversionPolicy) -> np.ndarray:
+    """The diagonal w^+ (..., m) of _invert(g, policy) for the diag-mode metric g of a
+    (..., 4) state and its (..., 4, m) Jacobian, without building g or calling LAPACK.
+
+    It is that diagonal bit for bit, and the rest of _invert(g, policy) is exactly zero:
+    - the diagonal w of g is that of Re(QGT), since 0.5 (x + x) = x and the mask keeps it;
+    - eigh of a diagonal matrix returns its diagonal as the eigenvalues and a signed
+      permutation as the eigenvectors, so the pseudo-inverse is diag(1 / w) on the kept w;
+    - under Tikhonov, LU of the diagonal g + epsilon I divides by its diagonal, 1 / (w + epsilon).
+    The second and third are properties of numpy's LAPACK that tests/test_qgt.py checks.
+    """
+    w = np.diagonal(qgt_from_state(psi, jac).real, axis1=-2, axis2=-1)
+    if isinstance(policy, Tikhonov):
+        return 1.0 / (w + policy.epsilon)
+    return _spectral_inverse(w, policy.rcond)

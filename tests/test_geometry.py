@@ -566,6 +566,23 @@ def test_chart_metric_and_stacked_curvature_refuse_values_that_are_not_real_numb
     assert np.array_equal(geo.mfs_metric(*x.tolist()), geo.mfs_metric(*x))
 
 
+@pytest.mark.parametrize("point,got", [(["0.5", "0.7", "1.1", "1.3"], "'0.5'"),
+                                       ([0.5, 0.7, 1.1, True], "True"),
+                                       (np.array([0.5, 0.7, 1.1 + 0.2j, 1.3]), "(0.5+0j)")],
+                         ids=["text", "bool", "complex"])
+@pytest.mark.parametrize("call", [geo.christoffel, geo.scalar_curvature_numeric],
+                         ids=["christoffel", "scalar_curvature_numeric"])
+def test_numeric_curvature_refuses_points_that_are_not_real_numbers(call, point, got):
+    # the text point was parsed (R = 9.33), True read as 1.0, and the complex one lost
+    # its imaginary part with a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call(lambda x: geo.mfs_metric(*x), point)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"points must be real numbers, got {got}"
+
+
 def test_partial_fraction_identity():
     s = np.linspace(-0.99, 0.99, 991)
     lhs = 12 + 1 / (s - 1) - 1 / (s + 1)

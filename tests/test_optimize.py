@@ -302,13 +302,17 @@ def _reference_trace(kind, h, theta0, cfg):
     return rows
 
 
+_POLICIES = (qgt.PseudoInverse(), qgt.Tikhonov(), qgt.PseudoInverse(rcond=2.0))
+
+
 def _engine_configs(**base):
-    """GD, QNG under each metric mode, Tikhonov, and a cutoff (rcond 2) that
-    keeps no eigenvalue, so that every QNG update falls back to GD."""
+    """GD, QNG under each metric mode, and the block and diag modes under Tikhonov and
+    under a cutoff (rcond 2) that keeps no eigenvalue, so that every QNG update falls
+    back to GD; the diag mode takes its own path, without the metric matrix."""
     return [_cfg(optimizer="gd", **base)] + [
         _cfg(optimizer="qng", metric_mode=mode, **base) for mode in qgt.METRIC_MODES
-    ] + [_cfg(optimizer="qng", inversion=qgt.Tikhonov(), **base),
-         _cfg(optimizer="qng", inversion=qgt.PseudoInverse(rcond=2.0), **base)]
+    ] + [_cfg(optimizer="qng", metric_mode=mode, inversion=inversion, **base)
+         for mode in (qgt.BLOCK, qgt.DIAG) for inversion in _POLICIES[1:]]
 
 
 @pytest.mark.parametrize("kind", ansatz.ANSATZE)
@@ -346,9 +350,78 @@ def test_run_trials_rows_match_one_trial_runs_bit_for_bit(kind):
     assert len(stop_steps) > 1  # rows of one batch stop at different steps
 
 
-def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
+def _bits(values):
+    """Float values as their IEEE bit patterns: -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("inversion", _POLICIES, ids=["pinv", "tikhonov", "rcond2"])
+@pytest.mark.parametrize("kind,theta0", [("ldca", [-0.0, -0.0, 0.4, -0.0, 0.9]),
+                                         ("hea", [-0.0, 0.3, -0.0, 0.7])])
+def test_diag_runs_keep_the_sign_of_zero_angles(kind, theta0, inversion):
+    # the metric-matrix product gave +0.0 for a zero direction, so theta - eta d kept -0.0;
+    # an elementwise w^+ grad gives -0.0 there, which turned the angle into +0.0
     h = vqe.load_bundled("entangled")
-    calls = {"state_and_jacobian": 0, "other_maps": 0, "matrix": 0}
+    cfg = _cfg(optimizer="qng", metric_mode="diag", inversion=inversion, max_steps=8,
+               tol=1e-12)
+    want = np.array([row[1] for row in _reference_trace(kind, h, theta0, cfg)])
+    assert np.signbit(want[1]).any()  # a -0.0 start angle is still -0.0 after a step
+    for got in (run_optimization(kind, h, theta0, cfg).theta,
+                optimize._run_batch(kind, h, np.array([theta0] * 3), cfg)[1].theta):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _refuse(monkeypatch, owner, name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"the engine called {name}")
+    monkeypatch.setattr(owner, name, refused)
+
+
+@pytest.mark.parametrize("inversion", _POLICIES, ids=["pinv", "tikhonov", "rcond2"])
+def test_diag_runs_never_build_or_decompose_a_metric_matrix(monkeypatch, inversion):
+    h = vqe.load_bundled("entangled")
+    ground = vqe.exact_ground(h)  # the run's one other eigh
+    monkeypatch.setattr(optimize, "exact_ground", lambda hamiltonian: ground)
+    for owner, name in ((qgt, "_invert"), (np.linalg, "eigh"), (np.linalg, "inv"),
+                        (qgt, "fs_metric_from_state")):
+        _refuse(monkeypatch, owner, name)
+    cfg = _cfg(optimizer="qng", metric_mode="diag", inversion=inversion, max_steps=5,
+               tol=1e-12)
+    for kind in ansatz.ANSATZE:
+        assert len(run_optimization(kind, h, optimize.initial_parameters(kind, cfg, 0),
+                                    cfg)) == 6
+        assert [len(t) for t in optimize.run_trials(kind, h, cfg, 3)] == [6, 6, 6]
+
+
+@pytest.mark.parametrize("mode", [qgt.BLOCK, qgt.DENSE])
+@pytest.mark.parametrize("inversion", _POLICIES, ids=["pinv", "tikhonov", "rcond2"])
+def test_block_and_dense_runs_invert_one_metric_stack_per_update(monkeypatch, mode, inversion):
+    calls = []
+    original = qgt._invert
+
+    def counted(g, policy):
+        calls.append(len(g))
+        return original(g, policy)
+
+    monkeypatch.setattr(qgt, "_invert", counted)
+    h = vqe.load_bundled("entangled")
+    cfg = _cfg(optimizer="qng", metric_mode=mode, inversion=inversion, max_steps=40, tol=1e-3,
+               seed=6)
+    trace = run_optimization("shea", h, optimize.initial_parameters("shea", cfg, 0), cfg)
+    assert calls == [1] * (len(trace) - 1)
+    calls.clear()
+    traces = optimize.run_trials("ldca", h, cfg, 7)
+    steps = max(map(len, traces))
+    # one call per update, on the rows evaluated at that step, as for energy_and_gradient
+    assert calls == [sum(len(t) > step for t in traces) for step in range(steps - 1)]
+
+
+def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
+    # the engine evaluates the ansatz through the unchecked core: it checks theta0 once,
+    # in run_optimization, and bounds every update itself
+    h = vqe.load_bundled("entangled")
+    calls = {"evaluate_rows": 0, "state_and_jacobian": 0, "check_theta": 0, "other_maps": 0,
+             "matrix": 0}
 
     def count(owner, name, key):
         fn = getattr(owner, name)
@@ -358,22 +431,27 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
+    count(ansatz, "_evaluate_rows", "evaluate_rows")
     count(ansatz, "state_and_jacobian", "state_and_jacobian")
+    count(ansatz, "_check_theta", "check_theta")
     count(ansatz, "prepare_state", "other_maps")
     count(ansatz, "state_jacobian", "other_maps")
     count(simulator.PauliObservable, "matrix", "matrix")
     for optimizer in ("gd", "qng"):
-        calls.update(state_and_jacobian=0)
+        calls.update(evaluate_rows=0, check_theta=0)
         cfg = _cfg(optimizer=optimizer, max_steps=20, tol=1e-12)
         trace = run_optimization("qgan-aug", h, optimize.initial_parameters("qgan-aug", cfg, 0),
                                  cfg)
-        assert calls["state_and_jacobian"] == len(trace) == 21
+        assert calls["evaluate_rows"] == len(trace) == 21
+        assert calls["check_theta"] == 1  # theta0's
         # a batch evaluates the ansatz once per step for all of its rows
-        calls.update(state_and_jacobian=0)
+        calls.update(evaluate_rows=0, check_theta=0)
         traces = optimize.run_trials("ldca", h, _cfg(optimizer=optimizer, max_steps=40,
                                                      tol=1e-3, seed=6), 7)
-        assert calls["state_and_jacobian"] == max(len(t) for t in traces)
+        assert calls["evaluate_rows"] == max(len(t) for t in traces)
         assert min(len(t) for t in traces) < max(len(t) for t in traces)
+        assert calls["check_theta"] == 0
+    assert calls["state_and_jacobian"] == 0
     assert calls["other_maps"] == 0 and calls["matrix"] == 0
 
 

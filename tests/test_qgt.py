@@ -224,6 +224,30 @@ def test_invert_metric_result_symmetric():
 
 
 @pytest.mark.parametrize("kind", ANSATZE)
+def test_diag_path_equals_lapack_inverse_else_a_numpy_or_openblas_upgrade_broke_it(kind):
+    # optimize's diag QNG step takes qgt._diag_inverse for the diagonal of _invert on the
+    # diag-masked metric. That rests on what numpy's LAPACK does with a diagonal matrix:
+    # eigh returns its diagonal and a signed permutation, and LU divides by its diagonal.
+    # If this fails after an upgrade, the diag QNG traces no longer match the block path's
+    # arithmetic bit for bit, though both are still correct inverses.
+    rng = np.random.default_rng(RNG_SEED + 12)
+    m = ansatz.param_count(kind)
+    thetas = rng.uniform(0, 2 * np.pi, (2000, m))
+    special = rng.random(thetas.shape) < 0.25  # angles at 0, pi/2, pi and 3 pi/2
+    thetas[special] = rng.choice(np.arange(4) * np.pi / 2, special.sum())
+    psi, jac = ansatz.state_and_jacobian(kind, thetas)
+    g = qgt.fs_metric_from_state(psi, jac, qgt.block_mask(kind, qgt.DIAG))
+    # exact zero entries: ldca's gauge angles, and the special angles; hea's are all 1
+    assert (np.diagonal(g, axis1=-2, axis2=-1) == 0).any() == (kind != HEA)
+    off_diagonal = ~np.eye(m, dtype=bool)
+    for policy in (qgt.PseudoInverse(), qgt.Tikhonov(), qgt.PseudoInverse(rcond=2.0)):
+        inv = qgt._invert(g, policy)
+        winv = qgt._diag_inverse(psi, jac, policy)
+        assert np.diagonal(inv, axis1=-2, axis2=-1).tobytes() == winv.tobytes(), policy
+        assert np.all(inv[:, off_diagonal] == 0.0), policy
+
+
+@pytest.mark.parametrize("kind", ANSATZE)
 def test_batched_qgt_metric_and_gradient_match_per_row_calls(kind):
     from pqcgeo import vqe
 
