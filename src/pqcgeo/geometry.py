@@ -167,6 +167,8 @@ def quat_norm2(a: np.ndarray) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class FiberQuaternion:
+    """Fiber quaternions q+- of a state or stack and the chart data that built them (hopf_fiber)."""
+
     q_plus: np.ndarray
     q_minus: np.ndarray
     z: complex | np.ndarray
@@ -232,8 +234,9 @@ def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarra
     convention. The default convention is the one whose numeric scalar
     curvature reproduces ricci_closed (see resolve_chart_convention).
     Broadcasts over array coordinates to (..., 4, 4), each metric equal bit for
-    bit to its own scalar call; a C outside [0, 1) is refused, the first in C order.
-    Coordinates are read by the one real-number rule (simulator._real_array).
+    bit to its own scalar call; a C outside [0, 1) is refused, the first in C order, and
+    then a non-finite chi, Phi or Theta. Coordinates are read by the one real-number rule
+    (simulator._real_array).
     """
     if convention not in CHART_CONVENTIONS:
         raise ValueError(f"unknown chart convention {convention!r}")
@@ -242,6 +245,10 @@ def mfs_metric(c, chi, phi, theta, convention: str = SIN_ON_DTHETA) -> np.ndarra
     bad = c[~((0.0 <= c) & (c < 1.0))]
     if bad.size:
         raise SingularityError(f"chart requires 0 <= C < 1, got {float(bad[0])!r}")
+    for x in (chi, phi, theta):
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise ValueError(f"chart coordinates must be finite, got {float(bad[0])!r}")
     h = 1.0 - c * c
     # libm pow, as ** 2 is on a numpy scalar; an array's ** 2 is a product, off in the last bit
     s2 = np.float_power(np.sin(theta), 2)

@@ -131,6 +131,9 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"clip bounds must be finite with lo < hi, got {lo!r} and {hi!r}")
+    prefix = None if out_prefix is None else Path(out_prefix)
+    if prefix is not None and prefix.name in ("", ".."):  # '', '.' and '..' name no file
+        raise ValueError(f"out prefix must end in a file name, got {str(out_prefix)!r}")
     base = np.zeros(m) if fixed_theta is None else fixed_theta
     if np.shape(base) != (m,):
         raise ValueError(f"fixed parameter vector must have length {m}")
@@ -149,8 +152,7 @@ def scan_landscape(kind: str, scan_indices: tuple[int, int], fixed_theta=None,
     values = np.clip(raw, lo, hi, out=raw)
     meta = {"ansatz": kind, "scan_indices": [a, b], "fixed_theta": base.tolist(),
             "resolution": resolution, "clip": [lo, hi], "axis": axis.tolist()}
-    if out_prefix is not None:
-        prefix = Path(out_prefix)
+    if prefix is not None:
         prefix.parent.mkdir(parents=True, exist_ok=True)
         _write_grid_csv(prefix.parent / (prefix.name + ".csv"), values)
         _write_mask_csv(prefix.parent / (prefix.name + "_mask.csv"), mask)

@@ -33,6 +33,8 @@ def _integer(value, least: int, message: str) -> int:
 
 @dataclass(frozen=True)
 class OptConfig:
+    """Settings of a VQE run, each checked and stored as its canonical value at construction."""
+
     learning_rate: float = 0.05
     max_steps: int = 200
     tol: float = 1e-6
@@ -83,18 +85,9 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
     A step evaluates the ansatz once for the rows still running, takes E and its gradient
     from one H psi, and keeps what the next step reads. A row stops after the step where
     |E_t - E_{t-1}| < tol, or at max_steps; otherwise it moves to theta - eta * d. d is the
-    gradient, and under QNG g^+ times it, except on rows whose inverse metric g^+ is all
-    zero (no usable spectrum): those take the gradient and are marked in qng_fallback.
-
-    Each step does only the work its checks and metric mode need, with the same bits:
-    - the ansatz comes from the unchecked core ansatz._evaluate_rows: theta0 was checked
-      once, and every update is bounded below;
-    - g^+ comes from qgt._invert, the core of invert_metric without its input checks: the
-      metric fs_metric_from_state builds is finite and exactly symmetric (IEEE addition
-      commutes), so the checks would refuse nothing and re-symmetrizing would change no bit;
-    - under diag, g^+ is the diagonal w^+ of qgt._diag_inverse and d = w^+ grad + 0.0. The
-      matrix product sums zero terms into each entry, so it gives +0.0 where w^+ grad is
-      -0.0; the + 0.0 does the same, and so a -0.0 angle keeps its sign as before.
+    gradient, or under QNG the direction of qgt._natural_direction, whose rows that fell
+    back to the gradient are marked in qng_fallback. The ansatz comes from the unchecked
+    core ansatz._evaluate_rows: theta0 was checked once, and every update is bounded below.
     """
     ground = exact_ground(hamiltonian)
     mask = qgt.block_mask(kind, config.metric_mode)
@@ -113,16 +106,8 @@ def _run_batch(kind: str, hamiltonian: Hamiltonian, theta: np.ndarray,
             break
         direction = grad
         if config.optimizer == QNG:
-            if config.metric_mode == qgt.DIAG:
-                winv = qgt._diag_inverse(psi, jac, config.inversion)
-                fallback = ~winv.any(axis=-1)
-                direction = winv * grad + 0.0
-            else:
-                ginv = qgt._invert(qgt.fs_metric_from_state(psi, jac, mask), config.inversion)
-                fallback = ~ginv.any(axis=(-2, -1))
-                direction = (ginv @ grad[..., None])[..., 0]
-            if fallback.any():
-                direction = np.where(fallback[:, None], grad, direction)
+            direction, fallback = qgt._natural_direction(psi, jac, grad, config.metric_mode,
+                                                         mask, config.inversion)
         with np.errstate(over="ignore"):  # refused below, naming the learning rate
             theta = theta - config.learning_rate * direction
         if not np.abs(theta).max() <= ansatz.THETA_MAX:  # also refuses NaN

@@ -111,9 +111,9 @@ def invert_metric(g: np.ndarray, policy: InversionPolicy = PseudoInverse()) -> n
     by the one real-number rule (simulator._real_array): text, bool and complex
     entries raise ValueError, and so does a NaN or infinite entry.
 
-    This checked entry point symmetrizes g and hands it to _invert. The optimizer
-    calls _invert directly on the metrics fs_metric_from_state built: those are
-    finite and exactly symmetric, so symmetrizing them again changes no bit.
+    This checked entry point symmetrizes g and hands it to _invert. _natural_direction calls
+    _invert directly on the metrics fs_metric_from_state builds: finite and exactly symmetric
+    (IEEE addition commutes), so the checks refuse nothing and symmetrizing changes no bit.
     """
     g = _real_array(g, lambda v: f"metric entries must be real numbers, got {v!r}")
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
@@ -157,3 +157,23 @@ def _diag_inverse(psi: np.ndarray, jac: np.ndarray, policy: InversionPolicy) -> 
     if isinstance(policy, Tikhonov):
         return 1.0 / (w + policy.epsilon)
     return _spectral_inverse(w, policy.rcond)
+
+
+def _natural_direction(psi: np.ndarray, jac: np.ndarray, grad: np.ndarray, mode: str,
+                       mask: np.ndarray, policy: InversionPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The QNG direction d = g^+ grad at (..., 4) states with (..., 4, m) Jacobians and
+    (..., m) gradients, and the (...,) mask of the rows whose g^+ is all zero (no usable
+    spectrum), which take d = grad. g^+ is _invert of the mode's masked metric, or under diag
+    its diagonal w^+ from _diag_inverse, with d = w^+ grad + 0.0: the matrix product sums zero
+    terms into each entry, so it gives +0.0 where w^+ grad is -0.0; the + 0.0 does the same."""
+    if mode == DIAG:
+        winv = _diag_inverse(psi, jac, policy)
+        fallback = ~winv.any(axis=-1)
+        direction = winv * grad + 0.0
+    else:
+        ginv = _invert(fs_metric_from_state(psi, jac, mask), policy)
+        fallback = ~ginv.any(axis=(-2, -1))
+        direction = (ginv @ grad[..., None])[..., 0]
+    if fallback.any():
+        direction = np.where(fallback[..., None], grad, direction)
+    return direction, fallback

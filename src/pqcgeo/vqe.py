@@ -37,6 +37,8 @@ NU_MAX = float(np.sqrt(np.finfo(float).max / 2.0**32))
 
 @dataclass(frozen=True)
 class Hamiltonian:
+    """H = sum_k nu_k HAMILTONIAN_TERMS[k] and a label; nu is checked, H built, at construction."""
+
     nu: tuple[float, float, float, float, float, float]
     label: str = ""
     _matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -75,7 +77,17 @@ class Hamiltonian:
     @classmethod
     def from_json(cls, path: str | Path) -> "Hamiltonian":
         with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+            text = f.read()
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"Hamiltonian JSON {str(path)!r} is nested too deeply") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # json's one other ValueError: int() refuses a literal's digit count
+            raise ValueError(f"Hamiltonian JSON {str(path)!r} has a number with too many "
+                             "digits") from None
+        return cls.from_dict(data)
 
 
 # bundled Hamiltonian name -> its JSON file under pqcgeo/data
@@ -111,6 +123,8 @@ def energy_gradient(kind: str, theta, hamiltonian: Hamiltonian) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """Lowest eigenpair of a Hamiltonian as exact_ground picks it, with its concurrence."""
+
     energy: float
     state: np.ndarray
     concurrence: float

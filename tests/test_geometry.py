@@ -583,6 +583,29 @@ def test_numeric_curvature_refuses_points_that_are_not_real_numbers(call, point,
     assert str(exc.value) == f"points must be real numbers, got {got}"
 
 
+@pytest.mark.parametrize("point,got", [([0.5, np.nan, 1.1, 1.3], "nan"),
+                                       ([0.5, 0.7, np.inf, 1.3], "inf"),
+                                       ([0.5, 0.7, 1.1, -np.inf], "-inf")],
+                         ids=["chi-nan", "Phi-inf", "Theta--inf"])
+@pytest.mark.parametrize("call", [geo.christoffel, geo.scalar_curvature_numeric],
+                         ids=["christoffel", "scalar_curvature_numeric"])
+def test_numeric_curvature_refuses_non_finite_chart_coordinates(call, point, got):
+    # chi and Phi were ignored (R = 9.33 at a NaN chi), and a non-finite Theta gave NaN entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            call(lambda x: geo.mfs_metric(*x), point)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"chart coordinates must be finite, got {got}"
+
+
+def test_chart_refuses_c_before_a_non_finite_coordinate():
+    with pytest.raises(SingularityError, match=r"^chart requires 0 <= C < 1, got nan$"):
+        geo.mfs_metric(np.nan, np.nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^chart coordinates must be finite, got nan$"):
+        geo.mfs_metric([0.1, 0.2], [0.0, 0.0], [0.0, np.nan], 0.0)
+
+
 def test_partial_fraction_identity():
     s = np.linspace(-0.99, 0.99, 991)
     lhs = 12 + 1 / (s - 1) - 1 / (s + 1)

@@ -965,6 +965,52 @@ def test_refused_run_vqe_leaves_out_untouched(tmp_path, capsys, monkeypatch, arg
         assert all(f"'{name}'" in err[0] for name in ("entangeld", "entangled", "product"))
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"nu": ' + "[" * 100_000 + "]" * 100_000 + "}", "is nested too deeply"),
+    ('{"nu": [1%s, 0, 0, 0, 0, 0]}' % ("0" * 5000), "has a number with too many digits"),
+], ids=["nested-100000-deep", "5001-digit-coefficient"])
+def test_hamiltonian_json_beyond_the_readers_limits_exits_2_naming_the_file(
+        tmp_path, capsys, monkeypatch, text, message):
+    # the deep file ended in a RecursionError traceback; the long integer's line named
+    # the interpreter's digit limit and its setting, not the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(text)
+    assert main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", "deep.json", "--trials", "1",
+                 "--steps", "2", "--out", "run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: Hamiltonian JSON 'deep.json' {message}\n"
+    assert "set_int_max_str_digits" not in err and "4300" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", ['{"nu": [1, 0', '\ufeff{"nu": [1, 0, 0, 0, 0, 0]}', "[" * 900])
+def test_hamiltonian_json_syntax_errors_keep_the_readers_message(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    assert main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", str(path), "--trials", "1",
+                 "--steps", "2", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("out", ["", ".", "..", "runs/.."])
+def test_scan_refuses_an_out_prefix_without_a_file_name(tmp_path, capsys, monkeypatch, out):
+    # '' and '.' used to write .csv, _mask.csv and _meta.json into the working directory,
+    # and '..' wrote ...csv, .._mask.csv and .._meta.json there
+    monkeypatch.chdir(tmp_path)
+
+    def scanned(*args):
+        raise AssertionError("scanned before the out prefix was checked")
+
+    monkeypatch.setattr(ansatz, "_ricci", scanned)
+    assert main(["scan-landscape", "--ansatz", "hea", "--grid", "3", "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: out prefix must end in a file name, got {out!r}\n"
+    with pytest.raises(ValueError, match="^out prefix must end in a file name"):
+        harness.scan_landscape("hea", (0, 1), resolution=2, out_prefix=out)
+    assert not any(tmp_path.iterdir())
+
+
 def test_scan_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
     # a --grid of 100000 asks numpy for 74.5 GiB; the MemoryError is raised here
     # instead of allocated for real

@@ -247,6 +247,60 @@ def test_diag_path_equals_lapack_inverse_else_a_numpy_or_openblas_upgrade_broke_
         assert np.all(inv[:, off_diagonal] == 0.0), policy
 
 
+def _inline_qng_rule(psi, jac, grad, mode, mask, policy):
+    # the QNG step as optimize's engine wrote it inline before qgt._natural_direction
+    if mode == qgt.DIAG:
+        winv = qgt._diag_inverse(psi, jac, policy)
+        fallback = ~winv.any(axis=-1)
+        direction = winv * grad + 0.0
+    else:
+        ginv = qgt._invert(qgt.fs_metric_from_state(psi, jac, mask), policy)
+        fallback = ~ginv.any(axis=(-2, -1))
+        direction = (ginv @ grad[..., None])[..., 0]
+    if fallback.any():
+        direction = np.where(fallback[:, None], grad, direction)
+    return direction, fallback
+
+
+def _negative_zeros(x):
+    return (x == 0) & np.signbit(x)
+
+
+@pytest.mark.parametrize("policy", [qgt.PseudoInverse(), qgt.Tikhonov(),
+                                    qgt.PseudoInverse(rcond=0.5), qgt.PseudoInverse(rcond=2.0)],
+                         ids=["pinv", "tikhonov", "rcond0.5", "rcond2"])
+@pytest.mark.parametrize("mode", qgt.METRIC_MODES)
+@pytest.mark.parametrize("kind", ANSATZE)
+def test_natural_direction_equals_the_inline_rule_it_replaced_bit_for_bit(kind, mode, policy):
+    from pqcgeo import vqe
+
+    rng = np.random.default_rng(RNG_SEED + 13)
+    m = ansatz.param_count(kind)
+    thetas = rng.uniform(0, 2 * np.pi, (40, m))
+    special = rng.random(thetas.shape) < 0.25  # angles at 0, pi/2, pi and 3 pi/2
+    thetas[special] = rng.choice(np.arange(4) * np.pi / 2, special.sum())
+    psi, jac = ansatz._evaluate_rows(kind, thetas)
+    grad = vqe.energy_and_gradient(vqe.load_bundled("entangled"), psi, jac)[1]
+    # row 0: a zero Jacobian, so a zero metric, whose pseudo-inverse is all zero and whose
+    # step falls back to a gradient with -0.0 entries; row 1: -0.0 entries in the gradient
+    # of a usable metric, where w^+ grad is -0.0 and the direction must read +0.0
+    jac[0] = 0.0
+    grad[0] = np.where(np.arange(m) % 2 == 0, -0.0, 0.25)
+    grad[1, ::2] = -0.0
+    mask = qgt.block_mask(kind, mode)
+    direction, fallback = qgt._natural_direction(psi, jac, grad, mode, mask, policy)
+    expected, expected_fallback = _inline_qng_rule(psi, jac, grad, mode, mask, policy)
+    assert direction.dtype == expected.dtype and direction.shape == expected.shape == grad.shape
+    assert direction.tobytes() == expected.tobytes()
+    assert fallback.dtype == bool and fallback.tobytes() == expected_fallback.tobytes()
+    # the cases above are reached: only Tikhonov inverts a zero metric
+    assert fallback[0] == (not isinstance(policy, qgt.Tikhonov))
+    assert _negative_zeros(direction[0]).any() == fallback[0]
+    assert fallback.all() == (policy == qgt.PseudoInverse(rcond=2.0))
+    if not fallback[1]:
+        assert not _negative_zeros(direction[1]).any()
+
+
 @pytest.mark.parametrize("kind", ANSATZE)
 def test_batched_qgt_metric_and_gradient_match_per_row_calls(kind):
     from pqcgeo import vqe

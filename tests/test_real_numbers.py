@@ -15,6 +15,7 @@ import pytest
 from pqcgeo import geometry, harness, optimize, qgt, simulator as sim, vqe
 
 _H = vqe.load_bundled("entangled")
+_CHART = r"^chart coordinates must be (real numbers|finite), got "
 
 # site -> (the float it read from v, or what it computed from it; its refusal message)
 SITES = {
@@ -37,7 +38,13 @@ SITES = {
               r"^Pauli coefficients must be finite real numbers, got "),
     "concurrence": (lambda v: geometry.ricci_closed(v),
                     r"^concurrence must be a real number, got "),
+    # the chart metric ignores chi and Phi, and reads Theta as sin^2
+    "chart chi": (lambda v: float(geometry.mfs_metric(0.5, v, 1.1, 1.3)[1, 1]), _CHART),
+    "chart Phi": (lambda v: float(geometry.mfs_metric(0.5, 0.7, v, 1.3)[2, 2]), _CHART),
+    "chart Theta": (lambda v: float(geometry.mfs_metric(0.5, 0.7, 1.1, v)[3, 3]), _CHART),
 }
+# the sites that take arrays, where a 0-d array is an array of one value
+ARRAY_SITES = ("concurrence", "chart chi", "chart Phi", "chart Theta")
 
 NOT_REAL = {"True": True, "np.False_": np.False_, "text": "0.5", "bytes": b"1", "1j": 1j,
             "np.complex128": np.complex128(0.5), "Decimal": Decimal("0.5"), "None": None,
@@ -58,8 +65,8 @@ def _cases(values, sites=SITES, skip=()):
             if (s, k) not in skip]
 
 
-# R(C) takes arrays of concurrences, so a 0-d array is an array of one there
-@pytest.mark.parametrize("site,value", _cases(NOT_REAL, skip=[("concurrence", "0-d array")]))
+@pytest.mark.parametrize("site,value", _cases(NOT_REAL, skip=[(s, "0-d array")
+                                                                 for s in ARRAY_SITES]))
 def test_every_site_refuses_a_value_that_is_not_a_real_number(site, value):
     with pytest.raises(ValueError, match=SITES[site][1]) as exc:
         _read(site, value)
