@@ -19,8 +19,7 @@ print(f"\nafter iSWAP(pi/5)^dag the norm is still {np.linalg.norm(psi):.12f}")
 
 # expectation values of a few Pauli words
 for label in ("Z1", "Z2", "X1X2", "Y1Y2"):
-    obs = sim.PauliObservable(((1.0, label),))
-    print(f"<{label}> = {sim.expectation(psi, obs):+.6f}")
+    print(f"<{label}> = {sim.expectation(psi, sim.parse_pauli_label(label)):+.6f}")
 
 # states are rays: a global phase changes nothing physical
 phased = np.exp(1j * 0.83) * psi

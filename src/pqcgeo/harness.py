@@ -75,6 +75,8 @@ def run_vqe_experiment(kind: str, hamiltonian: vqe.Hamiltonian, opt: optimize.Op
     cleared, so a refused or failing run leaves it untouched.
     """
     kind = ansatz.resolve_kind(kind)
+    if str(out_dir) == "":  # Path('') would be the working directory, which '.' names
+        raise ValueError("out directory must not be empty; use '.' for the working directory")
     traces = optimize.run_trials(kind, hamiltonian, opt, trials)
     ground = vqe.exact_ground(hamiltonian)
     summary = {

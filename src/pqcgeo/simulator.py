@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,76 +77,57 @@ def _real_array(values, refusal) -> np.ndarray:
     return np.array(floats).reshape(values.shape)
 
 
-@dataclass(frozen=True)
-class GateSpec:
-    """A gate from the fixed two-qubit gate set.
-
-    generator: 'X'/'Y'/'Z' (with one target qubit), 'XX'/'YY'/'ZZ'/'XY'/'YX',
-    'ISWAP_DAG', or 'CPHASE'. Angles are radians, stored as float.
-    """
-
-    generator: str
-    angle: float
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        angle = _real(self.angle)
-        if angle is None or not math.isfinite(angle):
-            raise ValueError("gate angle must be a number, not bool" if isinstance(
-                self.angle, (bool, np.bool_)) else "gate angle must be finite")
-        object.__setattr__(self, "angle", angle)
-        if self.generator in SINGLE_QUBIT_GENERATORS:
-            if self.qubits not in ((1,), (2,)):
-                raise ValueError(f"single-qubit gate needs qubits (1,) or (2,), got {self.qubits}")
-        elif self.generator in TWO_QUBIT_GENERATORS or self.generator in ("ISWAP_DAG", "CPHASE"):
-            if self.qubits != (1, 2):
-                raise ValueError(f"two-qubit gate acts on qubits (1, 2), got {self.qubits}")
-        else:
-            raise ValueError(f"unknown generator {self.generator!r}")
+def _gate_angle(angle) -> float:
+    """The angle as a float; ValueError unless it is a finite real number (_real)."""
+    number = _real(angle)
+    if number is None:
+        raise ValueError("gate angle must be a number, not bool" if isinstance(
+            angle, (bool, np.bool_)) else f"gate angle must be a real number, got {angle!r}")
+    if not math.isfinite(number):
+        raise ValueError("gate angle must be finite")
+    return number
 
 
-def rotation(generator: str, angle: float, qubit: int | None = None) -> GateSpec:
-    """R_P(angle) on the given qubit (single-qubit P) or on both (two-qubit P)."""
-    return GateSpec(generator, angle, (qubit,) if generator in SINGLE_QUBIT_GENERATORS else (1, 2))
-
-
-def iswap_dag(angle: float) -> GateSpec:
-    return GateSpec("ISWAP_DAG", angle, (1, 2))
-
-
-def cphase(angle: float) -> GateSpec:
-    return GateSpec("CPHASE", angle, (1, 2))
-
-
-def _embed_single(u: np.ndarray, qubit: int) -> np.ndarray:
-    return np.kron(u, I2) if qubit == 1 else np.kron(I2, u)
-
-
-def gate_unitary(gate: GateSpec) -> np.ndarray:
-    """Exact 4x4 unitary for the gate (closed-form exponential)."""
-    th = gate.angle
-    if gate.generator in SINGLE_QUBIT_GENERATORS:
-        u = np.cos(th / 2) * I2 - 1j * np.sin(th / 2) * _PAULI[gate.generator]
-        return _embed_single(u, gate.qubits[0])
-    if gate.generator in TWO_QUBIT_GENERATORS:
-        p = np.kron(_PAULI[gate.generator[0]], _PAULI[gate.generator[1]])
+def rotation(generator: str, angle: float, qubit: int | None = None) -> np.ndarray:
+    """R_P(angle) as a 4x4 unitary, on the given qubit (single-qubit P) or on both
+    (two-qubit P, which ignores qubit); 'ISWAP_DAG' and 'CPHASE' give those gates."""
+    th = _gate_angle(angle)
+    if generator in SINGLE_QUBIT_GENERATORS:
+        if qubit not in (1, 2):
+            raise ValueError(f"single-qubit gate needs qubits (1,) or (2,), got {(qubit,)}")
+        u = np.cos(th / 2) * I2 - 1j * np.sin(th / 2) * _PAULI[generator]
+        return np.kron(u, I2) if qubit == 1 else np.kron(I2, u)
+    if generator in TWO_QUBIT_GENERATORS:
+        p = np.kron(_PAULI[generator[0]], _PAULI[generator[1]])
         return np.cos(th / 2) * np.eye(4, dtype=complex) - 1j * np.sin(th / 2) * p
-    if gate.generator == "ISWAP_DAG":
-        # (XX + YY)/2 swaps |01> and |10> and annihilates |00>, |11>,
-        # so the exponential mixes only the middle block with full angle.
-        u = np.eye(4, dtype=complex)
-        c, s = np.cos(th), np.sin(th)
-        u[1, 1] = u[2, 2] = c
-        u[1, 2] = u[2, 1] = -1j * s
-        return u
-    # CPHASE: (I-Z)x(I-Z)/4 = |11><11|
+    if generator in ("ISWAP_DAG", "CPHASE"):
+        return iswap_dag(th) if generator == "ISWAP_DAG" else cphase(th)
+    raise ValueError(f"unknown generator {generator!r}")
+
+
+def iswap_dag(angle: float) -> np.ndarray:
+    """iSWAP(angle)^dag as a 4x4 unitary."""
+    th = _gate_angle(angle)
+    # (XX + YY)/2 swaps |01> and |10> and annihilates |00>, |11>,
+    # so the exponential mixes only the middle block with full angle.
+    u = np.eye(4, dtype=complex)
+    c, s = np.cos(th), np.sin(th)
+    u[1, 1] = u[2, 2] = c
+    u[1, 2] = u[2, 1] = -1j * s
+    return u
+
+
+def cphase(angle: float) -> np.ndarray:
+    """CPHASE(angle) as a 4x4 unitary: (I-Z)x(I-Z)/4 = |11><11|."""
+    th = _gate_angle(angle)
     u = np.eye(4, dtype=complex)
     u[3, 3] = np.exp(-1j * th)
     return u
 
 
-def apply_gate(state: np.ndarray, gate: GateSpec) -> np.ndarray:
-    return (gate_unitary(gate) @ require_normalized(state)[..., None])[..., 0]
+def apply_gate(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u |psi> for normalized (..., 4) states and a 4x4 gate matrix."""
+    return (u @ require_normalized(state)[..., None])[..., 0]
 
 
 def parse_pauli_label(label: str) -> np.ndarray:
@@ -168,30 +148,26 @@ def parse_pauli_label(label: str) -> np.ndarray:
     return np.kron(_PAULI[ops[1]], _PAULI[ops[2]])
 
 
-@dataclass(frozen=True)
-class PauliObservable:
-    """Real linear combination of two-qubit Pauli strings (Hermitian by construction)."""
-
-    terms: tuple[tuple[float, str], ...]
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        for coeff, label in self.terms:
-            number = _real(coeff)
-            if number is None or not math.isfinite(number):
-                raise ValueError(f"Pauli coefficients must be finite real numbers, got {coeff!r}")
-            m += number * parse_pauli_label(label)
-        return m
+def pauli_sum(terms) -> np.ndarray:
+    """sum_k c_k P_k as a 4x4 matrix, for (c_k, label_k) pairs of finite real numbers and
+    Pauli-string labels (Hermitian by construction)."""
+    m = np.zeros((4, 4), dtype=complex)
+    for coeff, label in terms:
+        number = _real(coeff)
+        if number is None or not math.isfinite(number):
+            raise ValueError(f"Pauli coefficients must be finite real numbers, got {coeff!r}")
+        m += number * parse_pauli_label(label)
+    return m
 
 
-def expectation(state: np.ndarray, obs: PauliObservable | np.ndarray) -> np.ndarray | float:
+def expectation(state: np.ndarray, matrix: np.ndarray) -> np.ndarray | float:
     """<psi|O|psi> for normalized (..., 4) states.
 
     The imaginary residue of a Hermitian O is round-off that grows with the
     size of O, so it must stay below 1e-12 * max(1, ||O||_F).
     """
     state = require_normalized(state)
-    m = obs.matrix() if isinstance(obs, PauliObservable) else np.asarray(obs, dtype=complex)
+    m = np.asarray(matrix, dtype=complex)
     val = np.vecdot(state, (m @ state[..., None])[..., 0])
     residue = np.abs(val.imag).max()
     if residue > 1e-12 and residue > 1e-12 * np.linalg.norm(m):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ansatz
 from .geometry import concurrence
-from .simulator import PauliObservable, _real, expectation, require_normalized
+from .simulator import _real, expectation, pauli_sum, require_normalized
 
 HAMILTONIAN_TERMS = ("I", "Z1", "Z2", "Z1Z2", "X1X2", "Y1Y2")
 
@@ -55,7 +55,7 @@ class Hamiltonian:
             raise ValueError(f"Hamiltonian coefficients too large: above {NU_MAX:.3g} a run "
                              "overflows its energies, gradients or summary statistics")
         object.__setattr__(self, "nu", nu)
-        matrix = PauliObservable(tuple(zip(nu, HAMILTONIAN_TERMS))).matrix()
+        matrix = pauli_sum(zip(nu, HAMILTONIAN_TERMS))
         matrix.setflags(write=False)
         object.__setattr__(self, "_matrix", matrix)
 
@@ -76,8 +76,11 @@ class Hamiltonian:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "Hamiltonian":
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError:
+            raise ValueError(f"Hamiltonian JSON {str(path)!r} is not UTF-8 text") from None
         try:
             data = json.loads(text)
         except RecursionError:

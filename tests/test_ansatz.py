@@ -211,30 +211,28 @@ CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=
 
 
 def _hea_circuit(t):
-    layer1 = sim.gate_unitary(sim.rotation("Y", 2 * t[0], qubit=1)) \
-        @ sim.gate_unitary(sim.rotation("Y", 2 * t[1], qubit=2))
-    layer2 = sim.gate_unitary(sim.rotation("Y", 2 * t[2], qubit=1)) \
-        @ sim.gate_unitary(sim.rotation("Y", 2 * t[3], qubit=2))
+    layer1 = sim.rotation("Y", 2 * t[0], qubit=1) @ sim.rotation("Y", 2 * t[1], qubit=2)
+    layer2 = sim.rotation("Y", 2 * t[2], qubit=1) @ sim.rotation("Y", 2 * t[3], qubit=2)
     return layer2 @ CNOT @ layer1 @ sim.basis_state("00")
 
 
 def _qgan_circuit(t):
-    u = sim.gate_unitary(sim.rotation("ZZ", t[4]))
-    u = u @ sim.gate_unitary(sim.rotation("Z", t[2], qubit=1))
-    u = u @ sim.gate_unitary(sim.rotation("Z", t[3], qubit=2))
-    u = u @ sim.gate_unitary(sim.rotation("X", t[0], qubit=1))
-    u = u @ sim.gate_unitary(sim.rotation("X", t[1], qubit=2))
+    u = sim.rotation("ZZ", t[4])
+    u = u @ sim.rotation("Z", t[2], qubit=1)
+    u = u @ sim.rotation("Z", t[3], qubit=2)
+    u = u @ sim.rotation("X", t[0], qubit=1)
+    u = u @ sim.rotation("X", t[1], qubit=2)
     return u @ sim.basis_state("00")
 
 
 def _ldca_circuit(t):
     # phase gates act first, on |01>, where they reduce to a global phase
     psi = sim.basis_state("01")
-    psi = sim.gate_unitary(sim.rotation("Z", t[0], qubit=1)) @ psi
-    psi = sim.gate_unitary(sim.rotation("Z", t[1], qubit=2)) @ psi
-    psi = sim.gate_unitary(sim.rotation("ZZ", t[3])) @ psi
-    psi = sim.gate_unitary(sim.iswap_dag(t[2])) @ psi
-    psi = sim.gate_unitary(sim.rotation("YX", -t[4])) @ sim.gate_unitary(sim.rotation("XY", t[4])) @ psi
+    psi = sim.rotation("Z", t[0], qubit=1) @ psi
+    psi = sim.rotation("Z", t[1], qubit=2) @ psi
+    psi = sim.rotation("ZZ", t[3]) @ psi
+    psi = sim.iswap_dag(t[2]) @ psi
+    psi = sim.rotation("YX", -t[4]) @ sim.rotation("XY", t[4]) @ psi
     return psi
 
 

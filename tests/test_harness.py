@@ -1011,6 +1011,46 @@ def test_scan_refuses_an_out_prefix_without_a_file_name(tmp_path, capsys, monkey
     assert not any(tmp_path.iterdir())
 
 
+def test_run_vqe_refuses_an_empty_out_directory_before_any_trial(tmp_path, capsys,
+                                                                monkeypatch):
+    # --out '' ran in the working directory: it deleted the trial_*.csv files there, wrote
+    # its own and printed "wrote 1 trace files and summary.json to " with no name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trial_007.csv").write_text("kept\n")
+    run_trials = optimize.run_trials
+
+    def refused(*args):
+        raise AssertionError("a trial ran before the out directory was checked")
+
+    monkeypatch.setattr(optimize, "run_trials", refused)
+    argv = ["run-vqe", "--ansatz", "ldca", "--hamiltonian", "entangled", "--trials", "1",
+            "--steps", "2"]
+    assert main([*argv, "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: out directory must not be empty; use '.' for the "
+                                 "working directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["trial_007.csv"]
+    assert (tmp_path / "trial_007.csv").read_text() == "kept\n"
+    # '.' names the working directory, and a run there replaces its trial files
+    monkeypatch.setattr(optimize, "run_trials", run_trials)
+    assert main([*argv, "--out", "."]) == 0
+    assert capsys.readouterr().out.startswith("wrote 1 trace files and summary.json to .\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json", "trial_000.csv"]
+
+
+def test_a_hamiltonian_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the codec's own line, "'utf-8' codec can't decode byte 0xff ...", named no file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_bytes('{"nu": [1, 0, 0, 0, 0, 0]}'.encode("utf-16"))
+    assert (tmp_path / "bad.json").read_bytes()[:2] == b"\xff\xfe"
+    assert main(["run-vqe", "--ansatz", "ldca", "--hamiltonian", "bad.json", "--trials", "1",
+                 "--steps", "2", "--out", "run"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Hamiltonian JSON 'bad.json' is not UTF-8 text\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_scan_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
     # a --grid of 100000 asks numpy for 74.5 GiB; the MemoryError is raised here
     # instead of allocated for real

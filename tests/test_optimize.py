@@ -436,7 +436,7 @@ def test_one_state_evaluation_and_no_hamiltonian_build_per_step(monkeypatch):
     count(ansatz, "_check_theta", "check_theta")
     count(ansatz, "prepare_state", "other_maps")
     count(ansatz, "state_jacobian", "other_maps")
-    count(simulator.PauliObservable, "matrix", "matrix")
+    count(vqe, "pauli_sum", "matrix")
     for optimizer in ("gd", "qng"):
         calls.update(evaluate_rows=0, check_theta=0)
         cfg = _cfg(optimizer=optimizer, max_steps=20, tol=1e-12)

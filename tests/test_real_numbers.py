@@ -15,6 +15,7 @@ import pytest
 from pqcgeo import geometry, harness, optimize, qgt, simulator as sim, vqe
 
 _H = vqe.load_bundled("entangled")
+_GATE = r"^gate angle must be (finite|a number, not bool|a real number, got .+)$"
 _CHART = r"^chart coordinates must be (real numbers|finite), got "
 
 # site -> (the float it read from v, or what it computed from it; its refusal message)
@@ -22,8 +23,10 @@ SITES = {
     "parameter": (lambda v: float(optimize.run_optimization(
         "hea", _H, [0.1, v, 0.2, 0.3], optimize.OptConfig(max_steps=1)).theta[0, 1]),
         r"^parameters must be (numbers, not text or bool: got |real numbers: got |finite)"),
-    "gate angle": (lambda v: sim.rotation("X", v, 1).angle,
-                   r"^gate angle must be (finite|a number, not bool)$"),
+    # each gate reads its own angle, here read back from its matrix
+    "gate angle": (lambda v: float(sim.rotation("X", v, 1)[0, 0].real), _GATE),
+    "iswap_dag angle": (lambda v: float(sim.iswap_dag(v)[1, 1].real), _GATE),
+    "cphase angle": (lambda v: float(sim.cphase(v)[3, 3].real), _GATE),
     "learning_rate": (lambda v: optimize.OptConfig(learning_rate=v).learning_rate,
                       r"^learning_rate must be positive and finite, got "),
     "tol": (lambda v: optimize.OptConfig(tol=v).tol, r"^tol must be positive, got "),
@@ -34,7 +37,7 @@ SITES = {
                    r"^clip bounds (must be two real numbers|must be finite with lo < hi), got "),
     "hamiltonian": (lambda v: vqe.Hamiltonian(nu=(v, 0, 0, 0, 0, 0)).nu[0],
                     r"^Hamiltonian coefficients must be (real numbers|finite)$"),
-    "pauli": (lambda v: float(sim.PauliObservable(((v, "I"),)).matrix()[0, 0].real),
+    "pauli": (lambda v: float(sim.pauli_sum(((v, "I"),))[0, 0].real),
               r"^Pauli coefficients must be finite real numbers, got "),
     "concurrence": (lambda v: geometry.ricci_closed(v),
                     r"^concurrence must be a real number, got "),
